@@ -7,6 +7,16 @@ every other PHY from the propagation model and delivers *begin-reception* and
 Collision and capture decisions are the receiving PHY's job; the channel only
 reports who hears what, and how loudly.
 
+Deliveries are fire-and-forget: the channel pushes the two events and keeps
+no handle to them, so a fired delivery (with its argument tuple and its
+:class:`Transmission`) becomes garbage as soon as the receiver is done with
+it.  Reception state lives on the receiving PHY, never in the medium.  Each
+delivery carries the receiver's *attach generation* as of the push;
+:meth:`WirelessChannel.unregister` bumps that generation, and the PHY drops
+any delivery whose generation is stale.  Detaching a PHY therefore does no
+work per pending delivery, and a PHY that leaves and re-registers while a
+frame is in flight never hears that frame.
+
 Positions are **time-varying**: every link-budget computation asks each PHY
 for ``position_at(now)`` — the exact analytic position under its mobility
 model, evaluated at transmission start — instead of reading a cached static
@@ -45,7 +55,6 @@ from repro.channel.propagation import PropagationModel, distance_between, hydra_
 from repro.channel.spatial import UniformGridIndex
 from repro.errors import ConfigurationError
 from repro.phy.frame import PhyFrame
-from repro.sim.events import EventHandle
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -53,10 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Speed of light in metres per second (propagation delay).
 SPEED_OF_LIGHT = 299_792_458.0
-
-#: Prune a receiver's delivery-handle list once it grows past this many
-#: entries (most are long since fired; pruning keeps unregister O(in-flight)).
-_HANDLE_PRUNE_THRESHOLD = 256
 
 #: ``spatial_index="auto"`` keeps the exhaustive scan at or below this many
 #: registered PHYs and switches to the grid index above it.  Crossing the
@@ -93,12 +98,11 @@ class WirelessChannel:
 
     __slots__ = ("sim", "propagation", "noise_floor_dbm",
                  "propagation_delay_enabled", "spatial_index_mode",
-                 "spatial_cell_m", "_phys", "_phy_ids",
-                 "_delivery_handles", "_link_aware", "_cache_epoch",
-                 "_budget_cache", "_active", "_spatial", "_min_detect_floor",
-                 "_max_tx_power", "_max_range_cache", "total_transmissions",
-                 "total_airtime", "total_candidates", "total_deliveries",
-                 "total_culled", "_metrics")
+                 "spatial_cell_m", "_phys", "_phy_ids", "_link_aware",
+                 "_cache_epoch", "_budget_cache", "_active", "_spatial",
+                 "_min_detect_floor", "_max_tx_power", "_max_range_cache",
+                 "total_transmissions", "total_airtime", "total_candidates",
+                 "total_deliveries", "total_culled", "_metrics")
 
     def __init__(
         self,
@@ -126,10 +130,6 @@ class WirelessChannel:
         self.propagation_delay_enabled = propagation_delay_enabled
         self._phys: List["Phy"] = []
         self._phy_ids: set = set()
-        # Pending begin/end-reception handles per registered receiver, so
-        # unregister() can cancel in-flight deliveries instead of letting a
-        # detached PHY keep receiving.
-        self._delivery_handles: Dict[int, List[EventHandle]] = {}
         self._link_aware = hasattr(self.propagation, "path_loss_between")
         self._cache_epoch = getattr(self.propagation, "cache_epoch", None)
         # (id(sender), id(receiver)) -> (epoch, tx_pos, rx_pos, loss, distance)
@@ -171,7 +171,6 @@ class WirelessChannel:
         if id(phy) not in self._phy_ids:
             self._phys.append(phy)
             self._phy_ids.add(id(phy))
-            self._delivery_handles[id(phy)] = []
             floor = phy.config.detect_floor_dbm
             if floor < self._min_detect_floor:
                 self._min_detect_floor = floor
@@ -184,17 +183,19 @@ class WirelessChannel:
     def unregister(self, phy: "Phy") -> None:
         """Detach a PHY from the medium.
 
-        Deliveries already scheduled for the PHY are cancelled and any
-        reception it has in progress is aborted, so a detached PHY never
-        hears the tail of a frame that was in flight when it left.
+        Bumping the PHY's attach generation makes every delivery already
+        scheduled for it stale: those events still fire, but
+        ``Phy.begin_reception``/``end_reception`` drop them on the generation
+        check.  Any reception in progress is aborted, so a detached PHY never
+        hears the tail of a frame that was in flight when it left, not even
+        after re-registering before that frame ends.
         """
         phy_id = id(phy)
         if phy_id not in self._phy_ids:
             return
         self._phy_ids.discard(phy_id)
         self._phys.remove(phy)
-        for handle in self._delivery_handles.pop(phy_id, ()):
-            handle.cancel()
+        phy._attach_generation += 1
         if self._budget_cache is not None:
             # id() values can be recycled once the PHY is garbage collected;
             # purge its cache rows so a future PHY can never inherit them.
@@ -344,7 +345,6 @@ class WirelessChannel:
         push = sim._scheduler.push
         priority = Simulator.PRIORITY_PHY
         delay_enabled = self.propagation_delay_enabled
-        delivery_handles = self._delivery_handles
         considered = 0
         culled = 0
         for receiver in receivers:
@@ -366,13 +366,14 @@ class WirelessChannel:
                 culled += 1
                 continue
             delay = distance / SPEED_OF_LIGHT if delay_enabled else 0.0
-            handles = delivery_handles[id(receiver)]
-            handles.append(push(now + delay, receiver.begin_reception,
-                                (transmission, rx_power), priority))
-            handles.append(push(now + delay + duration, receiver.end_reception,
-                                (transmission,), priority))
-            if len(handles) > _HANDLE_PRUNE_THRESHOLD:
-                handles[:] = [h for h in handles if h.active]
+            # Fire-and-forget: no handle is kept.  The receiver's attach
+            # generation travels with both events, so a delivery that
+            # outlives an unregister() is dropped by the PHY, not cancelled.
+            generation = receiver._attach_generation
+            push(now + delay, receiver.begin_reception,
+                 (transmission, rx_power, generation), priority)
+            push(now + delay + duration, receiver.end_reception,
+                 (transmission, generation), priority)
         self.total_candidates += considered
         self.total_culled += culled
         self.total_deliveries += considered - culled

@@ -55,7 +55,9 @@ class ProgressReporter:
         self.sim_seconds = 0.0
         self._elapsed_sum = 0.0
         self._elapsed_count = 0
-        self._batch_started_at = 0.0
+        #: Clock reading at the first batch: the summary's rate divides the
+        #: events of every batch by the wall time since then.
+        self._first_batch_at: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Observer protocol (called by CampaignRunner)
@@ -63,7 +65,8 @@ class ProgressReporter:
     def batch_started(self, batch: Any) -> None:
         """A batch of jobs is about to run."""
         self.total += len(batch)
-        self._batch_started_at = self._clock()
+        if self._first_batch_at is None:
+            self._first_batch_at = self._clock()
         self.emit(f"running {len(batch)} job(s) on {self.workers} worker(s)")
 
     def job_started(self, job: Any) -> None:
@@ -115,7 +118,7 @@ class ProgressReporter:
                         in sorted(self.status_counts.items()))
         line = f"{self.done}/{self.total} job(s): {mix or 'none'}"
         if self.events:
-            wall = self._clock() - self._batch_started_at
+            wall = self._clock() - self._first_batch_at
             rate = _format_rate(self.events, wall)
             line += (f"; {self.events:,} events / {self.sim_seconds:.1f} "
                      f"sim-s" + (f" ({rate})" if rate else ""))

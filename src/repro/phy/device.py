@@ -107,7 +107,7 @@ class Phy:
                  "_carrier_busy_reported", "_noise_cache_dbm",
                  "_noise_cache_mw", "frames_sent", "frames_received",
                  "frames_collided", "tx_airtime", "_metrics", "_journey",
-                 "_journey_node")
+                 "_journey_node", "_attach_generation")
 
     def __init__(
         self,
@@ -134,6 +134,9 @@ class Phy:
         self._receptions: Dict[int, _ReceptionAttempt] = {}
         self._carrier_count = 0
         self._carrier_busy_reported = False
+        # Bumped by WirelessChannel.unregister(); deliveries scheduled under
+        # an older generation are stale and ignored on arrival.
+        self._attach_generation = 0
         # Cached linear noise floor, revalidated against the channel's dBm
         # setting on every delivery (10**x per frame per receiver adds up).
         self._noise_cache_dbm: Optional[float] = None
@@ -270,8 +273,16 @@ class Phy:
     # ------------------------------------------------------------------
     # Receive path (driven by the channel)
     # ------------------------------------------------------------------
-    def begin_reception(self, transmission: "Transmission", rx_power_dbm: float) -> None:
-        """Called by the channel when a remote transmission starts arriving."""
+    def begin_reception(self, transmission: "Transmission", rx_power_dbm: float,
+                        generation: int) -> None:
+        """Called by the channel when a remote transmission starts arriving.
+
+        ``generation`` is this PHY's attach generation when the channel
+        scheduled the delivery; a stale one (the PHY was unregistered since)
+        means the delivery no longer concerns this PHY and is ignored.
+        """
+        if generation != self._attach_generation:
+            return
         config = self.config
         if (rx_power_dbm < config.carrier_sense_threshold_dbm
                 and rx_power_dbm < config.reception_threshold_dbm):
@@ -295,13 +306,23 @@ class Phy:
             attempt.add_interference_dbm(other.rx_power_dbm)
         self._receptions[id(transmission)] = attempt
 
-    def end_reception(self, transmission: "Transmission") -> None:
-        """Called by the channel when a remote transmission stops arriving."""
-        attempt = self._receptions.pop(id(transmission), None)
-        if attempt is None:  # pragma: no cover - defensive
+    def end_reception(self, transmission: "Transmission", generation: int) -> None:
+        """Called by the channel when a remote transmission stops arriving.
+
+        Stale deliveries are ignored as in :meth:`begin_reception`.  A current
+        one must close a reception that began on this PHY, and a sensed one
+        must have a carrier count to release; anything else is a bookkeeping
+        bug and raises :class:`~repro.errors.PhyError`.
+        """
+        if generation != self._attach_generation:
             return
+        attempt = self._receptions.pop(id(transmission), None)
+        if attempt is None:
+            raise PhyError(f"{self.name}: end of a reception that never began")
         if attempt.rx_power_dbm >= self.config.carrier_sense_threshold_dbm:
-            self._carrier_count = max(0, self._carrier_count - 1)
+            if self._carrier_count <= 0:
+                raise PhyError(f"{self.name}: carrier count would go negative")
+            self._carrier_count -= 1
         # Transmitting at the instant reception completes also kills it.
         if self._transmitting:
             attempt.doomed = True
@@ -312,9 +333,10 @@ class Phy:
         """Forget every reception in progress without delivering anything.
 
         The channel calls this when the PHY is unregistered mid-flight: the
-        pending end-reception events are cancelled on the channel side, so the
-        attempts (and the carrier energy they contributed) must be dropped
-        here or the PHY would sense a busy medium forever.
+        pending end-reception events go stale with the attach generation and
+        will never close these attempts, so the attempts (and the carrier
+        energy they contributed) must be dropped here or the PHY would sense a
+        busy medium forever.
         """
         self._receptions.clear()
         self._carrier_count = 0

@@ -9,7 +9,7 @@ streams (:class:`~repro.sim.randomness.RandomStreams`), a trace/logging hook
 (:mod:`repro.sim.monitor`).
 """
 
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event
 from repro.sim.scheduler import Scheduler
 from repro.sim.simulator import Simulator
 from repro.sim.telemetry import TELEMETRY, SimTelemetry
@@ -20,7 +20,6 @@ from repro.sim.monitor import CounterMonitor, TimeSeriesMonitor, TimeWeightedMon
 
 __all__ = [
     "Event",
-    "EventHandle",
     "Scheduler",
     "Simulator",
     "SimTelemetry",

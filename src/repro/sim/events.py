@@ -1,23 +1,27 @@
 """Event objects used by the discrete-event scheduler.
 
 An :class:`Event` is a record of *when* a callback should fire and with which
-arguments.  :class:`EventHandle` is the user-facing token returned by
-:meth:`repro.sim.simulator.Simulator.schedule`; it supports cancellation and
-introspection without exposing the scheduler internals.
+arguments, and it is also the caller's handle to that callback:
+:meth:`repro.sim.scheduler.Scheduler.push` (and therefore
+:meth:`repro.sim.simulator.Simulator.schedule`) returns the event itself,
+which supports cancellation and introspection.  Returning the event instead
+of a separate handle object saves one allocation per scheduled callback.
 
-Both classes use ``__slots__``: the simulator allocates one event per
+The class uses ``__slots__``: the simulator allocates one event per
 scheduled callback (hundreds of thousands per experiment), so per-instance
 dict overhead dominated allocation cost before the slots layout.  The
 scheduler's heap orders events through C-level tuple comparison of
-``(time, priority, sequence)`` keys (see :mod:`repro.sim.scheduler`);
-:meth:`Event.__lt__` implements the same ordering for any code that compares
-events directly.
+``(time, priority, sequence)`` keys (see :mod:`repro.sim.scheduler`), so
+events themselves are never compared.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.scheduler import Scheduler
 
 
 #: Monotone counter used to break ties between events scheduled for the same
@@ -33,14 +37,16 @@ next_sequence = _sequence.__next__
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback, and the handle its scheduler hands out for it.
 
     Events are ordered by ``(time, priority, sequence)``; the callback and its
-    arguments do not participate in the ordering.
+    arguments do not participate in the ordering.  The event stays valid
+    after it has fired; :attr:`active` then becomes ``False``.  Cancelling
+    routes back to the owning scheduler so its live-event count stays exact.
     """
 
     __slots__ = ("time", "priority", "sequence", "callback", "args",
-                 "cancelled", "dequeued", "fired")
+                 "cancelled", "dequeued", "fired", "_scheduler")
 
     def __init__(
         self,
@@ -48,10 +54,8 @@ class Event:
         priority: int,
         sequence: int,
         callback: Callable[..., Any],
-        args: Tuple[Any, ...] = (),
-        cancelled: bool = False,
-        dequeued: bool = False,
-        fired: bool = False,
+        args: Tuple[Any, ...],
+        scheduler: "Scheduler",
     ) -> None:
         self.time = time
         self.priority = priority
@@ -59,20 +63,32 @@ class Event:
         self.callback = callback
         self.args = args
         #: True once cancelled; the scheduler will skip the event.
-        self.cancelled = cancelled
+        self.cancelled = False
         #: True once the scheduler has removed the event from its queue (the
         #: only other way out is cancellation).  Cancelling a dequeued event
         #: must be a no-op or the scheduler's live-event count goes negative.
-        self.dequeued = dequeued
-        self.fired = fired
+        self.dequeued = False
+        #: True once the callback has been invoked.
+        self.fired = False
+        self._scheduler = scheduler
 
-    def __lt__(self, other: "Event") -> bool:
-        return ((self.time, self.priority, self.sequence)
-                < (other.time, other.priority, other.sequence))
+    @property
+    def active(self) -> bool:
+        """True while the event is still queued (not popped, not cancelled)."""
+        return not self.dequeued and not self.cancelled
+
+    @property
+    def _event(self) -> "Event":
+        """The event behind this handle: itself.
+
+        ``perfbench/tracer.py`` reads ``handle._event`` in its wrapper around
+        :meth:`Scheduler.cancel`.
+        """
+        return self
 
     def cancel(self) -> None:
-        """Mark the event as cancelled; the scheduler will skip it."""
-        self.cancelled = True
+        """Cancel the event if it is still queued (idempotent)."""
+        self._scheduler.cancel(self)
 
     def fire(self) -> Any:
         """Invoke the callback (the scheduler calls this, not user code)."""
@@ -82,49 +98,3 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         return f"<Event t={self.time:.6f} prio={self.priority} {state}>"
-
-
-class EventHandle:
-    """Opaque handle for a scheduled event.
-
-    The handle remains valid after the event has fired; :attr:`active` then
-    becomes ``False``.  Cancelling through the handle routes back to the
-    owning scheduler so its live-event count stays exact.
-    """
-
-    __slots__ = ("_event", "_scheduler")
-
-    def __init__(self, event: Event, scheduler: Any = None):
-        self._event = event
-        self._scheduler = scheduler
-
-    @property
-    def time(self) -> float:
-        """Simulated time at which the event is (or was) scheduled to fire."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """True if the event was cancelled before firing."""
-        return self._event.cancelled
-
-    @property
-    def fired(self) -> bool:
-        """True once the callback has been invoked."""
-        return self._event.fired
-
-    @property
-    def active(self) -> bool:
-        """True while the event is still queued (not popped, not cancelled)."""
-        return not self._event.dequeued and not self._event.cancelled
-
-    def cancel(self) -> None:
-        """Cancel the event if it is still queued (idempotent)."""
-        if self._scheduler is not None:
-            self._scheduler.cancel(self)
-        elif self.active:
-            self._event.cancel()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
-        return f"<EventHandle t={self._event.time:.6f} {state}>"

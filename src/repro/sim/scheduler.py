@@ -21,7 +21,7 @@ import heapq
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SchedulingError
-from repro.sim.events import Event, EventHandle, next_sequence
+from repro.sim.events import Event, next_sequence
 
 
 class Scheduler:
@@ -64,29 +64,29 @@ class Scheduler:
         callback: Callable[..., Any],
         args: Tuple[Any, ...] = (),
         priority: int = 0,
-    ) -> EventHandle:
+    ) -> Event:
         """Queue ``callback(*args)`` to run at simulated ``time``.
 
         ``priority`` breaks ties at equal times (lower runs first); equal
-        priorities run in scheduling order.
+        priorities run in scheduling order.  Returns the queued
+        :class:`Event`, which doubles as its handle.
         """
         if not callable(callback):
             raise SchedulingError(f"callback must be callable, got {callback!r}")
         time = float(time)
         priority = int(priority)
         sequence = next_sequence()
-        event = Event(time, priority, sequence, callback, tuple(args))
+        event = Event(time, priority, sequence, callback, tuple(args), self)
         heapq.heappush(self._heap, (time, priority, sequence, event))
         self._pending += 1
-        return EventHandle(event, self)
+        return event
 
-    def cancel(self, handle: EventHandle) -> None:
+    def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (no-op if already fired).
 
-        ``EventHandle.cancel`` routes here too, so the live-event count is
+        ``Event.cancel`` routes here too, so the live-event count is
         decremented exactly once per cancellation regardless of the path.
         """
-        event = handle._event
         if event.dequeued or event.cancelled:
             return
         event.cancelled = True
@@ -142,9 +142,9 @@ class Scheduler:
     def clear(self) -> None:
         """Drop every pending event.
 
-        Each dropped event is marked cancelled so that handles issued for it
-        go inactive; cancelling such a handle afterwards is a no-op instead of
-        driving the live-event count negative.
+        Each dropped event is marked cancelled so that it goes inactive;
+        cancelling it afterwards is a no-op instead of driving the live-event
+        count negative.
         """
         for entry in self._heap:
             entry[3].cancelled = True

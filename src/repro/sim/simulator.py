@@ -15,7 +15,7 @@ from repro.obs.journey import NULL_JOURNEY
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.profiler import perf_counter
 from repro.obs.session import on_simulator_created
-from repro.sim.events import EventHandle
+from repro.sim.events import Event
 from repro.sim.randomness import RandomStreams
 from repro.sim.scheduler import Scheduler
 from repro.sim.telemetry import TELEMETRY
@@ -101,7 +101,7 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = PRIORITY_DEFAULT,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -113,7 +113,7 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = PRIORITY_DEFAULT,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
         if time < self._now:
             raise SimulationError(
@@ -121,10 +121,10 @@ class Simulator:
             )
         return self._scheduler.push(time, callback, args, priority)
 
-    def cancel(self, handle: Optional[EventHandle]) -> None:
-        """Cancel a pending event; ``None`` and already-fired handles are ignored."""
-        if handle is not None:
-            self._scheduler.cancel(handle)
+    def cancel(self, event: Optional[Event]) -> None:
+        """Cancel a pending event; ``None`` and already-fired events are ignored."""
+        if event is not None:
+            self._scheduler.cancel(event)
 
     # ------------------------------------------------------------------
     # Run loop

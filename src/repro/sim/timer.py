@@ -2,7 +2,7 @@
 
 Protocol code (MAC retransmission timeouts, TCP RTO, DBA flush timers, CBR
 sources) needs timers that can be started, restarted and cancelled without the
-caller tracking :class:`~repro.sim.events.EventHandle` objects by hand.
+caller tracking :class:`~repro.sim.events.Event` handles by hand.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import EventHandle
+from repro.sim.events import Event
 from repro.sim.simulator import Simulator
 
 
@@ -37,7 +37,7 @@ class Timer:
         self._sim = sim
         self._callback = callback
         self._priority = priority
-        self._handle: Optional[EventHandle] = None
+        self._handle: Optional[Event] = None
         self.name = name
         self.expirations = 0
 

@@ -157,6 +157,23 @@ def test_reporter_summary_line_mixes_statuses():
     assert "20,000 events / 8.0 sim-s" in summary
 
 
+def test_reporter_summary_rate_spans_every_batch():
+    # Two back-to-back batches (as run-all submits them): the rate divides
+    # the events of both by the wall time since the first batch started,
+    # not since the last one did.
+    now = [0.0]
+    reporter = ProgressReporter(emit=lambda line: None, clock=lambda: now[0])
+    reporter.batch_started([1])
+    now[0] = 10.0
+    reporter.job_finished(_outcome(elapsed=10.0, events=300_000))
+    reporter.batch_started([2])
+    now[0] = 20.0
+    reporter.job_finished(_outcome(elapsed=10.0, events=300_000))
+    summary = reporter.summary_line()
+    assert "600,000 events" in summary
+    assert summary.endswith("(30k ev/s)")
+
+
 def test_format_helpers():
     assert _format_rate(0, 1.0) == ""
     assert _format_rate(500, 1.0) == "500 ev/s"

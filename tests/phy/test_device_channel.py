@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import List
 
 import pytest
 
-from repro.channel import LogDistancePathLoss, WirelessChannel
+from repro.channel import LogDistancePathLoss, Transmission, WirelessChannel
 from repro.errors import ConfigurationError, PhyError
 from repro.phy import FrameKind, Phy, PhyConfig, PhyFrame, PhyState, ReceptionResult
 from repro.phy.rates import hydra_rate_table
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 
 RATES = hydra_rate_table()
 RATE_065 = RATES.by_mbps(0.65)
@@ -241,6 +242,83 @@ def test_unregister_leaves_other_receivers_untouched():
     assert len(stayer_l.received) == 1
     assert stayer_l.received[0].all_unicast_ok
     assert leaver.frames_received == 0
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.5])
+def test_reregistered_phy_ignores_stale_deliveries(fraction):
+    """Leaving and rejoining mid-frame must not resurrect the old deliveries.
+
+    With ``fraction == 0.0`` both the begin and the end delivery are still
+    queued when the PHY leaves; with ``0.5`` only the end is.  Either way
+    they were scheduled under the old attach generation and are dropped.
+    """
+    sim = Simulator(seed=24)
+    channel, tx, rx, _, rx_l = build_pair(sim)
+    duration = tx.send(data_frame())
+    sim.run(until=duration * fraction)
+    channel.unregister(rx)
+    channel.register(rx)
+    assert rx.state is PhyState.IDLE
+    assert not rx.carrier_busy
+    sim.run(until=duration / 2 + duration * fraction / 2)
+    assert rx.state is PhyState.IDLE
+    assert not rx.carrier_busy
+    sim.run()
+    assert rx_l.received == []
+    assert rx.frames_received == 0
+    assert not rx.carrier_busy
+    # Frames sent after rejoining reach it as usual.
+    tx.send(data_frame())
+    sim.run()
+    assert len(rx_l.received) == 1
+    assert rx_l.received[0].all_unicast_ok
+
+
+def test_drained_run_retains_no_events():
+    """Fired events are garbage unless a caller still holds one.
+
+    Regression: the channel used to keep a handle for every delivery it had
+    ever scheduled, which kept each fired event, its arguments and its
+    transmission alive for the life of the channel.
+    """
+    sim = Simulator(seed=26)
+    channel, tx, rx, _, rx_l = build_pair(sim)
+    phys = [tx, rx]
+    kept = sim.schedule(0.0, tx.position_at, 0.0)
+    for _ in range(3):
+        tx.send(data_frame())
+        sim.run()
+    assert len(rx_l.received) == 3
+    gc.collect()
+    survivors = [obj for obj in gc.get_objects()
+                 if isinstance(obj, Event)
+                 and getattr(obj.callback, "__self__", None) in phys]
+    assert survivors == [kept]
+    assert kept.fired and not kept.active
+
+
+def test_end_reception_without_begin_raises():
+    sim = Simulator(seed=27)
+    _, tx, rx, _, _ = build_pair(sim)
+    transmission = Transmission(sender=tx, frame=data_frame(), start_time=0.0,
+                                duration=1e-3, power_dbm=8.9)
+    with pytest.raises(PhyError, match="never began"):
+        rx.end_reception(transmission, rx._attach_generation)
+
+
+def test_end_reception_refuses_negative_carrier_count():
+    sim = Simulator(seed=28)
+    _, tx, rx, _, _ = build_pair(sim)
+    transmission = Transmission(sender=tx, frame=data_frame(), start_time=0.0,
+                                duration=1e-3, power_dbm=8.9)
+    # Decodable but below the carrier-sense threshold: no carrier counted.
+    rx.config.carrier_sense_threshold_dbm = -80.0
+    rx.begin_reception(transmission, -85.0, rx._attach_generation)
+    assert not rx.carrier_busy
+    # Lowering the threshold mid-frame makes the end look sensed.
+    rx.config.carrier_sense_threshold_dbm = -92.0
+    with pytest.raises(PhyError, match="negative"):
+        rx.end_reception(transmission, rx._attach_generation)
 
 
 def test_link_budget_memo_matches_uncached_channel():

@@ -130,13 +130,13 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     print(f"run-all: {len(experiment_ids)} experiment(s) x {len(seeds)} seed(s), "
           f"jobs={args.jobs} ({'full' if args.full else 'fast'} parameters)")
 
+    # One batch for every experiment: a pool keeps all its workers busy
+    # instead of draining at each experiment boundary.
+    results = runner.run_campaigns(experiment_ids, seeds, fast=not args.full)
     failures: List[str] = []
-    for experiment_id in experiment_ids:
-        print(f"[{experiment_id}]", flush=True)
-        try:
-            outcome = runner.run_campaign(experiment_id, seeds, fast=not args.full)
-        except ReproError as error:
-            print(f"  FAILED: {error}", file=sys.stderr)
+    for experiment_id, outcome in results.items():
+        if isinstance(outcome, ReproError):
+            print(f"[{experiment_id}] FAILED: {outcome}", file=sys.stderr)
             failures.append(experiment_id)
             continue
         if any(not o.ok for o in outcome.outcomes):

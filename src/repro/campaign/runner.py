@@ -13,11 +13,11 @@ import concurrent.futures
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.campaign.cache import ResultCache, job_key
 from repro.campaign.registry import get_registry
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 from repro.sim.telemetry import TELEMETRY
 from repro.stats.aggregate import aggregate_experiment_results
 from repro.stats.results import ExperimentResult
@@ -328,21 +328,68 @@ class CampaignRunner:
                      overrides: Optional[Mapping[str, Any]] = None,
                      fast: bool = True) -> CampaignOutcome:
         """Replicate one experiment over ``seeds`` and aggregate mean ± 95% CI."""
-        if not seeds:
-            raise ExperimentError("need at least one seed")
-        spec = get_registry().get(experiment_id)
-        params = spec.resolve_params(overrides, fast=fast)
-        batch = [CampaignJob(experiment_id=experiment_id, params=params, seed=seed,
-                             code_version=spec.source_digest)
-                 for seed in seeds]
-        outcomes = self.run_jobs(batch)
-        replicas = {outcome.job.seed: outcome.result
-                    for outcome in outcomes if outcome.ok}
-        if not replicas:
-            failures = "; ".join(f"{o.job.describe()}: {o.status}" for o in outcomes)
-            raise ExperimentError(f"every job of {experiment_id} failed ({failures})")
-        aggregate = aggregate_experiment_results(
-            [replicas[seed] for seed in seeds if seed in replicas])
-        return CampaignOutcome(
-            experiment_id=experiment_id, params=params, seeds=list(seeds),
-            aggregate=aggregate, replicas=replicas, outcomes=outcomes)
+        params, batch = _campaign_jobs(experiment_id, seeds, overrides, fast)
+        return _campaign_outcome(experiment_id, params, seeds, self.run_jobs(batch))
+
+    def run_campaigns(self, experiment_ids: Sequence[str], seeds: Sequence[int],
+                      fast: bool = True
+                      ) -> Dict[str, Union[CampaignOutcome, ReproError]]:
+        """Replicate several experiments over ``seeds`` in **one** batch.
+
+        Every experiment's jobs share one :meth:`run_jobs` call, so a pool
+        keeps all its workers busy across experiment boundaries instead of
+        draining (and re-spawning) once per experiment.  The outcomes are
+        split back per experiment and aggregated as :meth:`run_campaign`
+        would.  The result maps each id, in the given order, to its
+        :class:`CampaignOutcome` or to the :class:`ReproError` that stopped
+        it (its parameters did not resolve, or every one of its jobs failed).
+        """
+        results: Dict[str, Union[CampaignOutcome, ReproError]] = {}
+        plans: List[Tuple[str, Dict[str, Any], int, int]] = []
+        batch: List[CampaignJob] = []
+        for experiment_id in experiment_ids:
+            try:
+                params, jobs = _campaign_jobs(experiment_id, seeds, None, fast)
+            except ReproError as error:
+                results[experiment_id] = error
+                continue
+            plans.append((experiment_id, params, len(batch), len(batch) + len(jobs)))
+            batch.extend(jobs)
+        outcomes = self.run_jobs(batch) if batch else []
+        for experiment_id, params, start, stop in plans:
+            try:
+                results[experiment_id] = _campaign_outcome(
+                    experiment_id, params, seeds, outcomes[start:stop])
+            except ExperimentError as error:
+                results[experiment_id] = error
+        return {experiment_id: results[experiment_id]
+                for experiment_id in experiment_ids}
+
+
+def _campaign_jobs(experiment_id: str, seeds: Sequence[int],
+                   overrides: Optional[Mapping[str, Any]],
+                   fast: bool) -> Tuple[Dict[str, Any], List[CampaignJob]]:
+    """Resolved parameters and one job per seed for one experiment."""
+    if not seeds:
+        raise ExperimentError("need at least one seed")
+    spec = get_registry().get(experiment_id)
+    params = spec.resolve_params(overrides, fast=fast)
+    return params, [CampaignJob(experiment_id=experiment_id, params=params,
+                                seed=seed, code_version=spec.source_digest)
+                    for seed in seeds]
+
+
+def _campaign_outcome(experiment_id: str, params: Dict[str, Any],
+                      seeds: Sequence[int],
+                      outcomes: List[JobOutcome]) -> CampaignOutcome:
+    """Aggregate one experiment's job outcomes (raises if none succeeded)."""
+    replicas = {outcome.job.seed: outcome.result
+                for outcome in outcomes if outcome.ok}
+    if not replicas:
+        failures = "; ".join(f"{o.job.describe()}: {o.status}" for o in outcomes)
+        raise ExperimentError(f"every job of {experiment_id} failed ({failures})")
+    aggregate = aggregate_experiment_results(
+        [replicas[seed] for seed in seeds if seed in replicas])
+    return CampaignOutcome(
+        experiment_id=experiment_id, params=params, seeds=list(seeds),
+        aggregate=aggregate, replicas=replicas, outcomes=outcomes)

@@ -17,10 +17,12 @@ any delivery whose generation is stale.  Detaching a PHY therefore does no
 work per pending delivery, and a PHY that leaves and re-registers while a
 frame is in flight never hears that frame.
 
-Positions are **time-varying**: every link-budget computation asks each PHY
-for ``position_at(now)`` — the exact analytic position under its mobility
-model, evaluated at transmission start — instead of reading a cached static
-coordinate.  For stationary PHYs (the paper's entire evaluation) this
+Positions are **time-varying**: the channel asks PHYs for ``position_at(now)``
+— the exact analytic position under their mobility models, evaluated at
+transmission start — instead of reading a cached static coordinate.  A frame
+positions its sender once (and reads the propagation epoch once), then each
+candidate receiver once; every link budget of that frame shares the sender's
+position.  For stationary PHYs (the paper's entire evaluation) this
 degenerates to the static position, bit for bit.  Link-aware propagation
 models (per-link shadowing) are consulted through ``path_loss_between``; see
 :mod:`repro.channel.propagation`.
@@ -235,18 +237,23 @@ class WirelessChannel:
     # ------------------------------------------------------------------
     # Link budget helpers
     # ------------------------------------------------------------------
-    def _link_budget(self, sender: "Phy", receiver: "Phy", when: float) -> tuple:
+    def _epoch(self, when: float) -> int:
+        """The propagation model's memo validity token at ``when``."""
+        return 0 if self._cache_epoch is None else self._cache_epoch(when)
+
+    def _link_budget(self, sender: "Phy", tx_position: tuple, receiver: "Phy",
+                     when: float, epoch: int) -> tuple:
         """``(path_loss_db, distance_m)`` for one link at ``when``, memoised.
 
-        The cached entry is validated against the propagation epoch and the
-        *exact* endpoint positions, so it can only be served when recomputing
-        would produce the identical value: stationary PHYs return the same
-        position tuple every time (cheap identity compare), mobile PHYs fail
-        the equality check and recompute.
+        ``tx_position`` and ``epoch`` are the sender's position and the
+        propagation epoch at ``when``; the caller computes them once per frame.
+        The cached entry is validated against the epoch and the *exact*
+        endpoint positions, so it can only be served when recomputing would
+        produce the identical value: stationary PHYs return the same position
+        tuple every time (cheap identity compare), mobile PHYs fail the
+        equality check and recompute.
         """
-        tx_position = sender.position_at(when)
         rx_position = receiver.position_at(when)
-        epoch = 0 if self._cache_epoch is None else self._cache_epoch(when)
         cache = self._budget_cache
         if cache is not None:
             key = (id(sender), id(receiver))
@@ -272,7 +279,8 @@ class WirelessChannel:
         start of the transmission being budgeted).
         """
         when = self.sim.now if time is None else time
-        loss, _ = self._link_budget(sender, receiver, when)
+        loss, _ = self._link_budget(sender, sender.position_at(when), receiver,
+                                    when, self._epoch(when))
         return tx_power_dbm - loss
 
     def link_snr_db(self, sender: "Phy", receiver: "Phy",
@@ -285,7 +293,9 @@ class WirelessChannel:
         """One-way propagation delay between two PHYs (at their positions now)."""
         if not self.propagation_delay_enabled:
             return 0.0
-        _, distance = self._link_budget(sender, receiver, self.sim.now)
+        now = self.sim.now
+        _, distance = self._link_budget(sender, sender.position_at(now), receiver,
+                                        now, self._epoch(now))
         return distance / SPEED_OF_LIGHT
 
     # ------------------------------------------------------------------
@@ -329,14 +339,17 @@ class WirelessChannel:
             use_grid = len(self._phys) > AUTO_SPATIAL_THRESHOLD
         else:
             use_grid = mode == "grid"
+        # The sender's position and the propagation epoch are per frame, not
+        # per link: compute them once for every budget below.
+        tx_position = sender.position_at(now)
+        epoch = self._epoch(now)
         receivers: List["Phy"] = self._phys
         if use_grid:
             reach = self._max_range_for(power_dbm)
             if reach is not None:
                 spatial = self._ensure_spatial()
                 if spatial is not None:
-                    receivers = spatial.candidates(
-                        sender.position_at(now), reach, now)
+                    receivers = spatial.candidates(tx_position, reach, now)
 
         # Direct scheduler pushes: this loop schedules two events per
         # receiver per frame, and the Simulator.schedule wrapper (which only
@@ -351,7 +364,8 @@ class WirelessChannel:
             if receiver is sender:
                 continue
             considered += 1
-            loss, distance = self._link_budget(sender, receiver, now)
+            loss, distance = self._link_budget(sender, tx_position, receiver,
+                                               now, epoch)
             rx_power = power_dbm - loss
             config = receiver.config
             floor = config.carrier_sense_threshold_dbm

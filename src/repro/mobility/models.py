@@ -229,18 +229,28 @@ class _PiecewiseLinearMobility(MobilityModel):
     Legs are generated strictly forward in time from the model's own stream,
     so the sequence of draws depends only on (seed, parameters) — never on
     when or how often ``position_at`` is called.
+
+    ``_frontier_time`` holds the time the generated trajectory reaches: the
+    last leg's end time, or the binding time before any leg exists.
+    :meth:`_append_leg` keeps it current, so a query inside the known
+    trajectory compares one float and generates nothing.
     """
 
     def __init__(self, update_interval: float = DEFAULT_UPDATE_INTERVAL_S) -> None:
         super().__init__(update_interval)
         self._legs: List[TrajectoryLeg] = []
         self._leg_starts: List[float] = []
+        self._frontier_time = 0.0
+
+    def _on_bound(self) -> None:
+        self._frontier_time = self._start_time
 
     def _append_leg(self, leg: TrajectoryLeg) -> None:
         if leg.duration <= 0:
             raise ConfigurationError("trajectory legs must have positive duration")
         self._legs.append(leg)
         self._leg_starts.append(leg.start_time)
+        self._frontier_time = leg.end_time
 
     def _frontier(self) -> Tuple[float, Position]:
         """Time and position from which the next leg departs."""
@@ -250,7 +260,7 @@ class _PiecewiseLinearMobility(MobilityModel):
         return last.end_time, last.end
 
     def _extend_to(self, time: float) -> None:
-        while self._frontier()[0] < time:
+        while self._frontier_time < time:
             start_time, start = self._frontier()
             for leg in self._next_legs(start_time, start):
                 self._append_leg(leg)
@@ -263,7 +273,8 @@ class _PiecewiseLinearMobility(MobilityModel):
         self._require_bound()
         if time <= self._start_time:
             return self._origin
-        self._extend_to(time)
+        if time > self._frontier_time:
+            self._extend_to(time)
         index = bisect.bisect_right(self._leg_starts, time) - 1
         return self._legs[index].position_at(time)
 

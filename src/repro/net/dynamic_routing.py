@@ -153,7 +153,9 @@ class DynamicRoutingTable(RoutingTable):
     # ------------------------------------------------------------------
     def entry_for(self, destination: IpAddress) -> Optional[RouteEntry]:
         """The stored entry (valid or withdrawn) for ``destination``."""
-        return self._entries.get(IpAddress(destination))
+        if type(destination) is not IpAddress:
+            destination = IpAddress(destination)
+        return self._entries.get(destination)
 
     def install(self, entry: RouteEntry) -> None:
         """Store ``entry`` unconditionally (the router applies the DSDV rules)."""
@@ -333,9 +335,9 @@ class DsdvRouter:
         self.discovery.heard(sender)
         routes = packet.annotations.get("dsdv_routes", ())
         changed = False
+        own_value = self.address.value
         for destination_value, sequence, metric in routes:
-            destination = IpAddress(destination_value)
-            if destination == self.address:
+            if destination_value == own_value:
                 # Someone advertises *us* with a sequence number newer than
                 # ours — an odd break number after a false-positive expiry
                 # (echoes of our own advertisements carry exactly our current
@@ -345,7 +347,8 @@ class DsdvRouter:
                     self._own_sequence = sequence + (2 if sequence % 2 == 0 else 1)
                     self._schedule_triggered()
                 continue
-            changed |= self._consider(destination, sender, sequence, metric)
+            changed |= self._consider(IpAddress(destination_value), sender,
+                                      sequence, metric)
         if changed:
             self._schedule_triggered()
 

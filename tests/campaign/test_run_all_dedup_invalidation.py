@@ -218,3 +218,47 @@ def test_run_all_registered_in_the_parser():
     args = parser.parse_args(["run-all", "--seeds", "3", "--full"])
     assert args.command == "run-all"
     assert args.seeds == 3 and args.full
+
+
+def test_run_all_submits_every_experiment_in_one_batch(tmp_path, monkeypatch, capsys):
+    registry = _stub_registry(fail_id="stub01")
+    monkeypatch.setattr(cli, "get_registry", lambda: registry)
+    monkeypatch.setattr(runner_module, "get_registry", lambda: registry)
+    batches = []
+
+    class CountingReporter(cli.ProgressReporter):
+        def batch_started(self, batch):
+            batches.append([job.describe() for job in batch])
+            super().batch_started(batch)
+
+    monkeypatch.setattr(cli, "ProgressReporter", CountingReporter)
+    out_dir = tmp_path / "results"
+    code = main(["run-all", "--seeds", "2", "--timeout", "0", "--no-cache",
+                 "--out-dir", str(out_dir)])
+    assert code == 1
+    assert batches == [["stub01[seed=1]", "stub01[seed=2]",
+                        "stub02[seed=1]", "stub02[seed=2]"]]
+    err = capsys.readouterr().err
+    assert "[stub01] FAILED: every job of stub01 failed" in err
+    assert "experiment(s) with failed jobs: stub01\n" in err
+    # The healthy experiment is still aggregated and written.
+    payload = json.loads((out_dir / "campaign_stub02.json").read_text())
+    assert payload["seeds"] == [1, 2]
+    assert payload["job_stats"]["ran"] == 2
+    assert not (out_dir / "campaign_stub01.json").exists()
+
+
+def test_run_campaigns_splits_one_batch_per_experiment(monkeypatch):
+    registry = _stub_registry(fail_id="stub02")
+    monkeypatch.setattr(runner_module, "get_registry", lambda: registry)
+    runner = CampaignRunner(jobs=1)
+    results = runner.run_campaigns(["stub02", "stub01", "nope"], seeds=[1, 3])
+    assert list(results) == ["stub02", "stub01", "nope"]
+    assert isinstance(results["stub02"], runner_module.ExperimentError)
+    assert "every job of stub02 failed" in str(results["stub02"])
+    assert isinstance(results["nope"], runner_module.ReproError)
+    outcome = results["stub01"]
+    assert [o.job.seed for o in outcome.outcomes] == [1, 3]
+    # Same aggregate as replicating the experiment on its own.
+    alone = CampaignRunner(jobs=1).run_campaign("stub01", seeds=[1, 3])
+    assert outcome.to_dict() == alone.to_dict()

@@ -23,11 +23,13 @@ The experiment exists in tandem with the channel's spatial index: without it
 every transmission budgets all N PHYs and a 2,000-node run is O(N) per
 frame.  Each run therefore also reports the *candidates fraction* — link
 budgets actually evaluated per transmission divided by (N - 1), straight
-from the channel's ``candidates_considered`` counter.  Under
-``spatial_index="auto"`` (grid above the threshold) the fraction collapses
-to the mean neighbourhood size over N; under ``"scan"`` it is exactly 1.0.
-CI asserts the collapse (``candidates_fraction_max_n``), which is the
-acceptance proof that indexed broadcast is sub-O(N).
+from the channel's ``candidates_considered`` counter.  Above the channel's
+:data:`~repro.channel.medium.SCAN_MAX_PHYS` (64 PHYs) candidates come from
+the grid index and the fraction collapses to the mean neighbourhood size
+over N; at or below it the channel scans every PHY, the cheaper enumeration
+on small worlds, and the fraction is exactly 1.0.  CI asserts the collapse
+(``candidates_fraction_max_n``), which is the acceptance proof that indexed
+broadcast is sub-O(N).
 
 Reported per protocol over the swept node count:
 
@@ -67,7 +69,7 @@ DEFAULT_PROTOCOLS = ("flooding", "dsdv", "aodv")
 def _build_scenario(sim: Simulator, policy: AggregationPolicy, protocol: str,
                     node_count: int, spacing_m: float, placement: str,
                     rate_mbps: float, duration: float,
-                    hello_interval: float, spatial_index: str) -> MobileScenario:
+                    hello_interval: float) -> MobileScenario:
     routing = "static"
     config = None
     if protocol == "dsdv":
@@ -81,8 +83,7 @@ def _build_scenario(sim: Simulator, policy: AggregationPolicy, protocol: str,
                             ring_start_ttl=1, ring_ttl_increment=2)
     scenario = MobileScenario(sim, policy=policy, unicast_rate_mbps=rate_mbps,
                               stop_time=duration, routing=routing,
-                              routing_config=config,
-                              spatial_index=spatial_index)
+                              routing_config=config)
     populate_city(scenario, node_count, spacing_m=spacing_m,
                   placement=placement)
     return scenario
@@ -92,13 +93,12 @@ def _run_once(protocol: str, node_count: int, flow_count: int,
               spacing_m: float, placement: str, flooding_interval: float,
               flooding_payload_bytes: int, cbr_interval: float,
               cbr_payload_bytes: int, hello_interval: float, warmup: float,
-              duration: float, rate_mbps: float, seed: int,
-              spatial_index: str) -> Tuple[float, float, float]:
+              duration: float, rate_mbps: float, seed: int) -> Tuple[float, float, float]:
     """One city run; returns (delivery, control fraction, candidates fraction)."""
     sim = Simulator(seed=seed)
     scenario = _build_scenario(sim, broadcast_aggregation(), protocol,
                                node_count, spacing_m, placement, rate_mbps,
-                               duration, hello_interval, spatial_index)
+                               duration, hello_interval)
     network = scenario.network
 
     flooders: List[FloodingSource] = []
@@ -157,7 +157,7 @@ def run(node_counts: Sequence[int] = DEFAULT_NODE_COUNTS,
         flooding_payload_bytes: int = 64, cbr_interval: float = 0.5,
         cbr_payload_bytes: int = 160, hello_interval: float = 1.0,
         warmup: float = 1.0, duration: float = 6.0, rate_mbps: float = 0.65,
-        seed: int = 1, spatial_index: str = "auto") -> ExperimentResult:
+        seed: int = 1) -> ExperimentResult:
     """Sweep the city size; report delivery, overhead and medium cost per protocol."""
     if not node_counts or any(count < 9 for count in node_counts):
         raise ExperimentError("city01 needs node counts of at least 9 (a 3x3 city)")
@@ -188,8 +188,7 @@ def run(node_counts: Sequence[int] = DEFAULT_NODE_COUNTS,
                 cbr_interval=cbr_interval,
                 cbr_payload_bytes=cbr_payload_bytes,
                 hello_interval=hello_interval, warmup=warmup,
-                duration=duration, rate_mbps=rate_mbps, seed=seed,
-                spatial_index=spatial_index)
+                duration=duration, rate_mbps=rate_mbps, seed=seed)
             delivery_series.add(node_count, delivery)
             control_series.add(node_count, control)
             candidate_series.add(node_count, candidates)

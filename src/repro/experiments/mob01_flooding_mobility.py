@@ -46,15 +46,14 @@ ANCHOR_SPACING_M = 2.5
 def _run_once(policy: AggregationPolicy, speed: float, node_count: int, area_m: float,
               flooding_interval: float, flooding_payload_bytes: int, duration: float,
               rate_mbps: float, shadowing_sigma_db: float, pause_time: float,
-              seed: int, spatial_index: str = "auto") -> Tuple[float, float]:
+              seed: int) -> Tuple[float, float]:
     """One mobile flooding run; returns (delivery ratio, UDP goodput Mbps)."""
     sim = Simulator(seed=seed)
     propagation: Optional[LogNormalShadowing] = None
     if shadowing_sigma_db > 0:
         propagation = LogNormalShadowing(sigma_db=shadowing_sigma_db)
     scenario = MobileScenario(sim, policy=policy, propagation=propagation,
-                              unicast_rate_mbps=rate_mbps, stop_time=duration,
-                              spatial_index=spatial_index)
+                              unicast_rate_mbps=rate_mbps, stop_time=duration)
 
     # Two stationary anchors near the center carry the UDP flow.
     center = area_m / 2.0
@@ -99,8 +98,7 @@ def run(speeds_mps: Sequence[float] = DEFAULT_SPEEDS_MPS, node_count: int = 6,
         area_m: float = 26.0, flooding_interval: float = 0.25,
         flooding_payload_bytes: int = 64, duration: float = 8.0,
         rate_mbps: float = 0.65, shadowing_sigma_db: float = 4.0,
-        pause_time: float = 0.0, seed: int = 1,
-        spatial_index: str = "auto") -> ExperimentResult:
+        pause_time: float = 0.0, seed: int = 1) -> ExperimentResult:
     """Sweep node speed; report flood delivery ratio and UDP goodput per policy."""
     if node_count < 2:
         raise ExperimentError("mob01 needs at least the two anchor nodes")
@@ -119,7 +117,7 @@ def run(speeds_mps: Sequence[float] = DEFAULT_SPEEDS_MPS, node_count: int = 6,
                 flooding_interval=flooding_interval,
                 flooding_payload_bytes=flooding_payload_bytes, duration=duration,
                 rate_mbps=rate_mbps, shadowing_sigma_db=shadowing_sigma_db,
-                pause_time=pause_time, seed=seed, spatial_index=spatial_index)
+                pause_time=pause_time, seed=seed)
             delivery.add(speed, ratio)
             udp.add(speed, throughput)
 

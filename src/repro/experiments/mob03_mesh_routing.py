@@ -53,15 +53,14 @@ def _run_once(policy: AggregationPolicy, speed: float, grid_side: int,
               grid_spacing_m: float, hello_interval: float,
               advertise_interval: float, cbr_interval: float,
               cbr_payload_bytes: int, warmup: float, duration: float,
-              rate_mbps: float, seed: int,
-              spatial_index: str = "auto") -> Tuple[float, float, float]:
+              rate_mbps: float, seed: int) -> Tuple[float, float, float]:
     """One mesh run; returns (delivery ratio, mean repair latency, ctrl fraction)."""
     sim = Simulator(seed=seed)
     config = DsdvConfig(hello=HelloConfig(hello_interval=hello_interval),
                         advertise_interval=advertise_interval)
     scenario = MobileScenario(sim, policy=policy, unicast_rate_mbps=rate_mbps,
                               stop_time=duration, routing="dsdv",
-                              routing_config=config, spatial_index=spatial_index)
+                              routing_config=config)
 
     # Corner nodes (source and destination) stay pinned; every interior node
     # roams the grid's bounding box under random waypoint.
@@ -99,8 +98,7 @@ def run(speeds_mps: Sequence[float] = DEFAULT_SPEEDS_MPS, grid_side: int = 3,
         hello_interval: float = 0.5, advertise_interval: float = 1.5,
         cbr_interval: float = 0.06, cbr_payload_bytes: int = 500,
         warmup: float = 3.0, duration: float = 20.0, rate_mbps: float = 0.65,
-        include_no_aggregation: bool = True, seed: int = 1,
-        spatial_index: str = "auto") -> ExperimentResult:
+        include_no_aggregation: bool = True, seed: int = 1) -> ExperimentResult:
     """Sweep roamer speed; report delivery, repair latency and overhead per policy."""
     if grid_side < 2:
         raise ExperimentError("mob03 needs at least a 2x2 grid")
@@ -123,8 +121,7 @@ def run(speeds_mps: Sequence[float] = DEFAULT_SPEEDS_MPS, grid_side: int = 3,
                 grid_spacing_m=grid_spacing_m, hello_interval=hello_interval,
                 advertise_interval=advertise_interval, cbr_interval=cbr_interval,
                 cbr_payload_bytes=cbr_payload_bytes, warmup=warmup,
-                duration=duration, rate_mbps=rate_mbps, seed=seed,
-                spatial_index=spatial_index)
+                duration=duration, rate_mbps=rate_mbps, seed=seed)
             delivery_series.add(speed, delivery)
             repair_series.add(speed, repair)
             control_series.add(speed, control)

@@ -151,8 +151,7 @@ def _run_once(policy: AggregationPolicy, routing: str, flow_count: int,
               hello_interval: float, aodv_hello_interval: float,
               advertise_interval: float, route_lifetime: float,
               cbr_interval_s: float, cbr_payload_bytes: int, warmup: float,
-              duration: float, rate_mbps: float, seed: int,
-              spatial_index: str = "auto") -> Tuple[float, float]:
+              duration: float, rate_mbps: float, seed: int) -> Tuple[float, float]:
     """One mesh run; returns (aggregate delivery ratio, control fraction)."""
     sim = Simulator(seed=seed)
     config = None
@@ -172,7 +171,7 @@ def _run_once(policy: AggregationPolicy, routing: str, flow_count: int,
                             ring_start_ttl=1, ring_ttl_increment=2)
     scenario = MobileScenario(sim, policy=policy, unicast_rate_mbps=rate_mbps,
                               stop_time=duration, routing=routing,
-                              routing_config=config, spatial_index=spatial_index)
+                              routing_config=config)
     model_factory = None
     if speed > 0:
         model_factory = lambda row, col, area: RandomWaypoint(
@@ -221,7 +220,7 @@ def run(flow_counts: Sequence[int] = DEFAULT_FLOW_COUNTS,
         warmup: float = 3.0, duration: float = 16.0, rate_mbps: float = 0.65,
         include_no_aggregation: bool = True,
         include_unicast_aggregation: bool = False,
-        seed: int = 1, spatial_index: str = "auto") -> ExperimentResult:
+        seed: int = 1) -> ExperimentResult:
     """Sweep the flow count; report delivery and overhead per routing/policy/speed."""
     if grid_side < 2:
         raise ExperimentError("rt02 needs at least a 2x2 grid")
@@ -266,8 +265,7 @@ def run(flow_counts: Sequence[int] = DEFAULT_FLOW_COUNTS,
                         route_lifetime=route_lifetime,
                         cbr_interval_s=cbr_interval_s,
                         cbr_payload_bytes=cbr_payload_bytes, warmup=warmup,
-                        duration=duration, rate_mbps=rate_mbps, seed=seed,
-                        spatial_index=spatial_index)
+                        duration=duration, rate_mbps=rate_mbps, seed=seed)
                     delivery_series.add(flow_count, delivery)
                     control_series.add(flow_count, control)
                 if routing not in control_growth:

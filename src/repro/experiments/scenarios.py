@@ -162,15 +162,13 @@ def run_udp_saturation(policy: AggregationPolicy, hops: int = 2, rate_mbps: floa
                        flooding_interval: Optional[float] = None,
                        flooding_payload_bytes: int = 64,
                        warmup: float = 1.0,
-                       profile: Optional[HydraProfile] = None,
-                       spatial_index: str = "auto") -> UdpRunResult:
+                       profile: Optional[HydraProfile] = None) -> UdpRunResult:
     """Saturating UDP flow from node 1 to node ``hops + 1``, optional flooding on all nodes."""
     if duration <= warmup:
         raise ExperimentError("duration must exceed the warmup period")
     sim = Simulator(seed=seed)
     network = build_linear_chain(sim, hops=hops, policy=policy, profile=profile,
-                                 unicast_rate_mbps=rate_mbps,
-                                 spatial_index=spatial_index)
+                                 unicast_rate_mbps=rate_mbps)
     source_node = network.node(1)
     sink_node = network.node(hops + 1)
     sink = UdpSink(sink_node)

@@ -103,13 +103,6 @@ class Scheduler:
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` when empty."""
-        self._discard_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or ``None`` when empty."""
         self._discard_cancelled()

@@ -68,8 +68,7 @@ class MobileScenario:
                  channel: Optional[WirelessChannel] = None,
                  stop_time: Optional[float] = None,
                  routing: str = "static",
-                 routing_config: Optional[RoutingConfig] = None,
-                 spatial_index: str = "auto") -> None:
+                 routing_config: Optional[RoutingConfig] = None) -> None:
         validate_routing_mode(routing)
         self.sim = sim
         self.policy = policy
@@ -85,8 +84,7 @@ class MobileScenario:
             raise ConfigurationError(
                 "pass either an existing channel or a propagation model, not "
                 "both: the channel's propagation would silently win")
-        self.channel = channel or WirelessChannel(sim, propagation=propagation,
-                                                  spatial_index=spatial_index)
+        self.channel = channel or WirelessChannel(sim, propagation=propagation)
         self.network = Network(sim, self.channel)
         self._next_index = 1
 

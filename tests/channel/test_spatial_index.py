@@ -18,11 +18,13 @@ import pytest
 
 from helpers.routing import connected_placement
 
-from repro.channel.medium import WirelessChannel
+from repro.channel.medium import SCAN_MAX_PHYS, WirelessChannel
 from repro.channel.propagation import LogNormalShadowing
 from repro.channel.spatial import UniformGridIndex
 from repro.errors import ConfigurationError
 from repro.phy.device import Phy, PhyConfig
+from repro.phy.frame import FrameKind, PhyFrame
+from repro.phy.rates import hydra_rate_table
 from repro.sim.simulator import Simulator
 from repro.topology.city import city_positions
 
@@ -30,16 +32,24 @@ TX_POWER_DBM = PhyConfig().tx_power_dbm
 DETECT_FLOOR_DBM = PhyConfig().detect_floor_dbm
 
 #: Cell sizes spanning much-smaller-than-range through much-larger (the
-#: superset property must be independent of this tuning knob).
+#: superset property must be independent of the cell size; the channel's own
+#: index uses the fleet's max range, ~14.6 m for the default PHY).
 CELL_SIZES_M = (2.0, 7.0, 14.6, 40.0)
 
 
-def _build(sim, positions, propagation=None, cell=7.0):
-    channel = WirelessChannel(sim, propagation=propagation,
-                              spatial_index="grid", spatial_cell_m=cell)
+def _build(sim, positions, propagation=None):
+    channel = WirelessChannel(sim, propagation=propagation)
     phys = [Phy(sim, channel, position=position, name=f"phy{i + 1}")
             for i, position in enumerate(positions)]
     return channel, phys
+
+
+def _grid(phys, cell):
+    """A grid index of ``cell``-metre cells over ``phys``, built at t=0."""
+    spatial = UniformGridIndex(cell)
+    for phy in phys:
+        spatial.register(phy, 0.0)
+    return spatial
 
 
 def _detectable_receivers(channel, sender, phys, now):
@@ -54,8 +64,7 @@ def _detectable_receivers(channel, sender, phys, now):
     return receivers
 
 
-def _assert_superset_and_ordered(channel, phys, now):
-    spatial = channel._ensure_spatial()
+def _assert_superset_and_ordered(channel, spatial, phys, now):
     reach = channel._max_range_for(TX_POWER_DBM)
     assert reach is not None
     order = {id(phy): i for i, phy in enumerate(phys)}
@@ -80,8 +89,8 @@ def test_superset_on_random_connected_placements(cell):
         rng = random.Random(1000 + trial)
         positions = connected_placement(rng, 8, 24.0)
         sim = Simulator(seed=trial + 1)
-        channel, phys = _build(sim, positions, cell=cell)
-        _assert_superset_and_ordered(channel, phys, now=0.0)
+        channel, phys = _build(sim, positions)
+        _assert_superset_and_ordered(channel, _grid(phys, cell), phys, now=0.0)
 
 
 @pytest.mark.parametrize("cell", (3.0, 14.6))
@@ -95,8 +104,8 @@ def test_superset_on_cluster_placements(cell):
                                    cluster_count=4, cluster_sigma_m=10.0,
                                    rng=rng)
         sim = Simulator(seed=trial + 1)
-        channel, phys = _build(sim, positions, cell=cell)
-        _assert_superset_and_ordered(channel, phys, now=0.0)
+        channel, phys = _build(sim, positions)
+        _assert_superset_and_ordered(channel, _grid(phys, cell), phys, now=0.0)
 
 
 def test_superset_under_shadowing_draws():
@@ -109,11 +118,12 @@ def test_superset_under_shadowing_draws():
                      for _ in range(14)]
         sim = Simulator(seed=trial + 1)
         channel, phys = _build(
-            sim, positions, cell=10.0,
+            sim, positions,
             propagation=LogNormalShadowing(sigma_db=6.0, coherence_time=0.5))
+        spatial = _grid(phys, 10.0)
         # Evaluate at a few coherence epochs: each rolls fresh draws.
         for now in (0.0, 0.7, 1.3):
-            _assert_superset_and_ordered(channel, phys, now=now)
+            _assert_superset_and_ordered(channel, spatial, phys, now=now)
 
 
 class _Glide:
@@ -146,15 +156,16 @@ def test_superset_mid_flight_without_snapshot_updates():
         rng = random.Random(4000 + trial)
         positions = connected_placement(rng, 6, 20.0)
         sim = Simulator(seed=trial + 1)
-        channel, phys = _build(sim, positions, cell=5.0)
+        channel, phys = _build(sim, positions)
         for i, phy in enumerate(phys):
             if i % 2 == 1:
                 phy.set_mobility(_Glide((rng.uniform(-4.0, 4.0),
                                          rng.uniform(-4.0, 4.0))))
+        spatial = _grid(phys, 5.0)
         # Queries strictly after several cell-widths of travel: stale cells
         # everywhere unless revalidation works.
         for now in (0.0, 3.5, 9.25):
-            _assert_superset_and_ordered(channel, phys, now=now)
+            _assert_superset_and_ordered(channel, spatial, phys, now=now)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +174,7 @@ def test_superset_mid_flight_without_snapshot_updates():
 
 def test_move_across_cells_then_unregister_leaves_nothing_behind():
     sim = Simulator(seed=1)
-    channel, (anchor, mover) = _build(sim, [(0.0, 0.0), (3.0, 3.0)], cell=5.0)
+    channel, (anchor, mover) = _build(sim, [(0.0, 0.0), (3.0, 3.0)])
     spatial = channel._ensure_spatial()
     assert spatial.stored_cell_of(mover) == (0, 0)
     # Static position reassignment must re-bucket through the setter hook.
@@ -186,11 +197,11 @@ def test_move_across_cells_then_unregister_leaves_nothing_behind():
 
 def test_mobile_entry_unregisters_cleanly_mid_flight():
     sim = Simulator(seed=2)
-    channel, (anchor, rover) = _build(sim, [(0.0, 0.0), (2.0, 2.0)], cell=4.0)
+    channel, (anchor, rover) = _build(sim, [(0.0, 0.0), (2.0, 2.0)])
     rover.set_mobility(_Glide((6.0, 0.0)))
     spatial = channel._ensure_spatial()
     assert spatial.mobile_count == 1
-    # A query at t=3 revalidates and re-buckets the rover several cells away.
+    # A query at t=3 revalidates and re-buckets the rover into another cell.
     spatial.candidates((0.0, 0.0), 1.0, 3.0)
     assert spatial.stored_cell_of(rover) == spatial.cell_for((20.0, 2.0))
     channel.unregister(rover)
@@ -201,8 +212,7 @@ def test_mobile_entry_unregisters_cleanly_mid_flight():
 
 def test_reregistration_after_id_recycling_never_inherits():
     sim = Simulator(seed=3)
-    channel, (anchor, ghost) = _build(sim, [(0.0, 0.0), (23.0, 23.0)],
-                                      cell=5.0)
+    channel, (anchor, ghost) = _build(sim, [(0.0, 0.0), (23.0, 23.0)])
     spatial = channel._ensure_spatial()
     ghost_cell = spatial.stored_cell_of(ghost)
     channel.received_power_dbm(ghost, anchor, TX_POWER_DBM)
@@ -235,14 +245,36 @@ def test_reregistration_after_id_recycling_never_inherits():
 
 def test_unregister_is_idempotent_and_audit_stays_clean():
     sim = Simulator(seed=4)
-    channel, phys = _build(sim, [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)],
-                           cell=4.0)
+    channel, phys = _build(sim, [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)])
     spatial = channel._ensure_spatial()
     channel.unregister(phys[1])
     channel.unregister(phys[1])
     spatial.unregister(phys[1])
     assert len(spatial) == 2
     spatial.audit()
+
+
+# ---------------------------------------------------------------------------
+# The enumeration rule
+# ---------------------------------------------------------------------------
+
+def _one_frame_from_corner(node_count):
+    """The channel after one frame from the corner of an 8 m lattice city."""
+    sim = Simulator(seed=6)
+    channel, phys = _build(sim, city_positions(node_count))
+    frame = PhyFrame.control_frame(FrameKind.RTS, None,
+                                   hydra_rate_table().by_mbps(0.65))
+    channel.broadcast(phys[0], frame, 1e-3, TX_POWER_DBM)
+    return channel
+
+
+def test_channel_scans_up_to_scan_max_phys_and_uses_the_grid_above():
+    at_limit = _one_frame_from_corner(SCAN_MAX_PHYS)
+    assert at_limit._spatial is None
+    assert at_limit.total_candidates == SCAN_MAX_PHYS - 1
+    above = _one_frame_from_corner(SCAN_MAX_PHYS + 1)
+    assert above._spatial is not None
+    assert above.total_candidates < SCAN_MAX_PHYS
 
 
 def test_cell_size_must_be_positive_and_finite():
@@ -252,11 +284,3 @@ def test_cell_size_must_be_positive_and_finite():
         UniformGridIndex(-3.0)
     with pytest.raises(ConfigurationError):
         UniformGridIndex(float("inf"))
-
-
-def test_channel_rejects_unknown_spatial_mode():
-    sim = Simulator(seed=5)
-    with pytest.raises(ConfigurationError):
-        WirelessChannel(sim, spatial_index="octree")
-    with pytest.raises(ConfigurationError):
-        WirelessChannel(sim, spatial_cell_m=-1.0)

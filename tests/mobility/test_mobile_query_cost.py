@@ -77,8 +77,7 @@ def _frame() -> PhyFrame:
 def _mobile_broadcasts(monkeypatch, link_budget_memo: bool):
     """Two frames from one mobile PHY; sender queries and rx powers per frame."""
     sim = Simulator(seed=5)
-    channel = WirelessChannel(sim, link_budget_memo=link_budget_memo,
-                              spatial_index="scan")
+    channel = WirelessChannel(sim, link_budget_memo=link_budget_memo)
     phys = [Phy(sim, channel, position=(4.0 * (i % 3), 4.0 * (i // 3)), name=f"n{i}")
             for i in range(6)]
     for phy in phys:

@@ -76,12 +76,20 @@ def test_cancel_is_idempotent():
     assert len(sched) == 0
 
 
-def test_peek_time_skips_cancelled_head():
+def test_pop_skips_cancelled_head():
     sched = Scheduler()
     first = sched.push(1.0, lambda: None)
     sched.push(2.0, lambda: None)
+    sched.push(3.0, lambda: None)
     sched.cancel(first)
-    assert sched.peek_time() == 2.0
+    assert sched.pop().time == 2.0
+    second = sched.push(2.5, lambda: None)
+    sched.cancel(second)
+    # The run loop's entry point: a cancelled head neither fires nor hides
+    # the next live event from the ``until`` check.
+    assert sched.pop_next(until=2.9) is None
+    assert sched.pop_next(until=3.0).time == 3.0
+    assert len(sched) == 0
 
 
 def test_non_callable_callback_rejected():

@@ -80,8 +80,10 @@ class _ReferenceModel:
     def pop_expected(self):
         return self.entries.pop(0) if self.entries else None
 
-    def peek_time(self):
-        return self.entries[0][0] if self.entries else None
+    def pop_expected_until(self, until):
+        if self.entries and self.entries[0][0] <= until:
+            return self.entries.pop(0)
+        return None
 
     def __len__(self):
         return len(self.entries)
@@ -97,7 +99,7 @@ def test_scheduler_matches_reference_model(seed):
     push_index = 0
 
     for _ in range(400):
-        op = rng.choices(["push", "pop", "cancel", "peek", "stale_cancel", "clear"],
+        op = rng.choices(["push", "pop", "cancel", "pop_next", "stale_cancel", "clear"],
                          weights=[40, 25, 15, 10, 8, 2])[0]
         if op == "push":
             # A coarse grid of times/priorities forces plenty of ties, which
@@ -109,9 +111,14 @@ def test_scheduler_matches_reference_model(seed):
             model.push(time, priority, push_index, token)
             live.append((handle, token))
             push_index += 1
-        elif op == "pop":
-            event = sched.pop()
-            expected = model.pop_expected()
+        elif op in ("pop", "pop_next"):
+            if op == "pop":
+                event = sched.pop()
+                expected = model.pop_expected()
+            else:
+                until = float(rng.randrange(10))
+                event = sched.pop_next(until)
+                expected = model.pop_expected_until(until)
             if expected is None:
                 assert event is None
             else:
@@ -132,8 +139,6 @@ def test_scheduler_matches_reference_model(seed):
                 sched.cancel(handle)
             model.remove(token)
             retired.append(handle)
-        elif op == "peek":
-            assert sched.peek_time() == model.peek_time()
         elif op == "stale_cancel" and retired:
             # Cancelling a fired/cancelled/cleared handle must never change
             # the live count.

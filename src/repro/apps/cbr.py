@@ -84,6 +84,7 @@ class UdpSink:
     def __init__(self, node, local_port: int = 9000, name: Optional[str] = None) -> None:
         self.node = node
         self.sim: Simulator = node.sim
+        self._probe = node.sim.probe
         self.name = name or f"sink-{node.index}"
         self.socket = node.udp.bind(local_port)
         self.socket.on_receive(self._on_datagram)
@@ -100,10 +101,8 @@ class UdpSink:
     def _on_datagram(self, packet: Packet, source: IpAddress) -> None:
         self.packets_received += 1
         self.bytes_received += packet.payload_bytes
-        journey = self.sim.journey
-        if journey.enabled:
-            journey.record(self.sim.now, self.node.name, "app", "consume",
-                           packet, sink=self.name)
+        if self._probe.enabled:
+            self._probe.emit("app", "consume", self.node.name, packet, sink=self.name)
         if self.first_arrival is None:
             self.first_arrival = self.sim.now
         else:

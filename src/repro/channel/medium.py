@@ -101,7 +101,7 @@ class WirelessChannel:
                  "_cache_epoch", "_budget_cache", "_active", "_spatial",
                  "_min_detect_floor", "_max_tx_power", "_max_range_cache",
                  "total_transmissions", "total_airtime", "total_candidates",
-                 "total_deliveries", "total_culled", "_metrics")
+                 "total_deliveries", "total_culled")
 
     def __init__(
         self,
@@ -145,8 +145,7 @@ class WirelessChannel:
         self.total_candidates = 0
         self.total_deliveries = 0
         self.total_culled = 0
-        self._metrics = sim.metrics
-        sim.metrics.register_collector(self._collect_metrics)
+        sim.probe.register_collector(self._collect_metrics)
 
     # ------------------------------------------------------------------
     # Registration
@@ -303,12 +302,6 @@ class WirelessChannel:
         self._active[id(transmission)] = transmission
         self.total_transmissions += 1
         self.total_airtime += duration
-        metrics = self._metrics
-        if metrics.enabled:
-            metrics.inc("channel.transmissions", node=sender.name,
-                        kind=frame.kind.value)
-            metrics.observe("channel.airtime_ms", duration * 1e3,
-                            node=sender.name)
 
         # The sender's position and the propagation epoch are per frame, not
         # per link: compute them once for every budget below.

@@ -478,16 +478,15 @@ class HotPathSlots(Rule):
 
 class GuardedInstrumentation(Rule):
     id = "RPR005"
-    title = "hot-path tracer/metrics calls must sit behind an enabled guard"
+    title = "probe emissions must sit behind an enabled guard"
     rationale = (
-        "Tracing and metrics are off by default precisely so the hot path "
-        "pays one attribute load and a branch when disabled (the PR 6/7 "
-        "pattern). An unguarded tracer.emit(...)/metrics.inc(...)/"
-        "journey.record(...) still builds its argument tuple and formats its "
-        "fields on every event — measurable at millions of events per run. "
-        "Hoist `tracer = self.sim.tracer` and test `if tracer.enabled:` (or "
-        "`metrics.enabled`, `journey.enabled`) around the call. The emitter "
-        "set is the RPR005 `guarded_calls` list in lint.toml "
+        "Instrumentation is off by default precisely so an event pays one "
+        "attribute load and a branch when nothing observes the run. An "
+        "unguarded probe.emit(...) still builds its argument tuple and "
+        "formats its fields on every event — measurable at millions of "
+        "events per run. Cache `self._probe = sim.probe` and test "
+        "`if self._probe.enabled:` around the one emission of each event. The "
+        "emitter set is the RPR005 `guarded_calls` list in lint.toml "
         "(`receiver.method` specs)."
     )
 

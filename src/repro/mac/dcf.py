@@ -45,7 +45,6 @@ from repro.mac.queues import TransmitQueues
 from repro.mac.stats import MacStatistics
 from repro.mac.timing import HYDRA_MAC_TIMING, MacTimingProfile
 from repro.net.packet import Packet
-from repro.obs.journey import node_of
 from repro.phy.device import Phy
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
 from repro.phy.link_adaptation import FixedRate, RateController
@@ -96,8 +95,7 @@ class AggregatingMac:
                  "backoff", "nav", "state", "_current", "_pending_retry",
                  "_retry_count", "_flush_forced", "_drawn_slots",
                  "_backoff_resumed_at", "_access_timer", "_response_timer",
-                 "_flush_timer", "_receive_callback", "_metrics",
-                 "_journey", "_journey_node", "_exchange_seq")
+                 "_flush_timer", "_receive_callback", "_probe")
 
     def __init__(
         self,
@@ -147,11 +145,8 @@ class AggregatingMac:
                                   priority=Simulator.PRIORITY_MAC, name=f"{self.name}.flush")
 
         self._receive_callback: Optional[ReceiveCallback] = None
-        self._metrics = sim.metrics
-        self._journey = sim.journey
-        self._journey_node = node_of(self.name, "mac")
-        self._exchange_seq = 0
-        sim.metrics.register_collector(self._collect_metrics)
+        self._probe = sim.probe
+        sim.probe.register_collector(self._collect_metrics)
         phy.attach_listener(self)
 
     # ------------------------------------------------------------------
@@ -193,29 +188,17 @@ class AggregatingMac:
             accepted = self.queues.enqueue_broadcast(subframe)
         else:
             accepted = self.queues.enqueue_unicast(subframe)
-        metrics = self._metrics
-        journey = self._journey
+        probe = self._probe
         if not accepted:
             self.stats.queue_drops += 1
-            if metrics.enabled:
-                metrics.inc("mac.queue_drops", node=self.name,
-                            kind="broadcast" if use_broadcast_queue else "unicast")
-            if journey.enabled:
-                journey.record(self.sim.now, self._journey_node, "mac", "drop",
-                               packet, reason="queue_full")
+            if probe.enabled:
+                probe.emit("mac", "queue_full", self.name, packet,
+                           queue="broadcast" if use_broadcast_queue else "unicast")
             return False
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit(self.name, "mac", "enqueue",
-                        queue="bcast" if use_broadcast_queue else "ucast",
-                        bytes=subframe.size_bytes)
-        if metrics.enabled:
-            metrics.inc("mac.enqueued", node=self.name,
-                        queue="bcast" if use_broadcast_queue else "ucast")
-        if journey.enabled:
-            journey.record(self.sim.now, self._journey_node, "mac", "enqueue",
-                           packet,
-                           queue="bcast" if use_broadcast_queue else "ucast")
+        if probe.enabled:
+            probe.emit("mac", "enqueue", self.name, packet,
+                       queue="bcast" if use_broadcast_queue else "ucast",
+                       bytes=subframe.size_bytes)
         self._try_start_access()
         return True
 
@@ -292,19 +275,8 @@ class AggregatingMac:
             self._try_start_access()
             return
 
-        journey = self._journey
-        if journey.enabled:
-            self._exchange_seq += 1
-            now = self.sim.now
-            node = self._journey_node
-            for slot, subframe in enumerate(self._current.broadcast_subframes):
-                journey.record(now, node, "mac", "aggregate", subframe.packet,
-                               attempt=self._exchange_seq, slot=slot,
-                               portion="broadcast")
-            for slot, subframe in enumerate(self._current.unicast_subframes):
-                journey.record(now, node, "mac", "aggregate", subframe.packet,
-                               attempt=self._exchange_seq, slot=slot,
-                               portion="unicast")
+        if self._probe.enabled:
+            self._probe.emit("mac", "aggregate", self.name, self._current)
 
         needs_rts = (
             self._current.has_unicast
@@ -346,9 +318,8 @@ class AggregatingMac:
         airtime = self.phy.send(frame)
         self.stats.record_control_frame("rts", airtime)
         self.state = MacState.WAIT_CTS
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit(self.name, "mac", "rts", dst=str(rts.dst))
+        if self._probe.enabled:
+            self._probe.emit("mac", "rts", self.name, dst=str(rts.dst))
 
     def _send_data_frame(self) -> None:
         if self._current is None:  # pragma: no cover - defensive
@@ -359,20 +330,9 @@ class AggregatingMac:
         self.stats.record_data_frame(self.sim.now, frame, self.phy.config.timing)
         if self.config.use_block_ack and frame.has_unicast:
             self.scoreboard.register(list(frame.unicast_subframes))
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit(self.name, "mac", "data_tx",
-                        subframes=frame.subframe_count, bytes=frame.total_bytes)
-        journey = self._journey
-        if journey.enabled:
-            now = self.sim.now
-            node = self._journey_node
-            for subframe in frame.broadcast_subframes:
-                journey.record(now, node, "mac", "tx", subframe.packet,
-                               attempt=self._exchange_seq, portion="broadcast")
-            for subframe in frame.unicast_subframes:
-                journey.record(now, node, "mac", "tx", subframe.packet,
-                               attempt=self._exchange_seq, portion="unicast")
+        if self._probe.enabled:
+            self._probe.emit("mac", "data_tx", self.name, frame,
+                             subframes=frame.subframe_count, bytes=frame.total_bytes)
 
     # ------------------------------------------------------------------
     # PHY listener interface
@@ -387,14 +347,8 @@ class AggregatingMac:
                 # Data sent by the exchange initiated by us.  The broadcast
                 # portion is never acknowledged; custody of those packets ends
                 # here (the air has them now).
-                journey = self._journey
-                if journey.enabled:
-                    now = self.sim.now
-                    node = self._journey_node
-                    for subframe in frame.broadcast_subframes:
-                        journey.record(now, node, "mac", "sent_unacked",
-                                       subframe.packet,
-                                       attempt=self._exchange_seq)
+                if self._probe.enabled:
+                    self._probe.emit("mac", "sent_unacked", self.name, frame)
                 if frame.has_unicast:
                     ack_size = (BlockAck(dst=self.address, received_sequences=frozenset()).size_bytes
                                 if self.config.use_block_ack else AckFrame(dst=self.address).size_bytes)
@@ -478,16 +432,11 @@ class AggregatingMac:
             if missing:
                 # Partial block-ACK: the acknowledged subframes leave custody
                 # now, the missing ones ride the retry path.
-                journey = self._journey
-                if journey.enabled and self._current is not None:
-                    now = self.sim.now
-                    node = self._journey_node
+                if self._probe.enabled:
                     missing_ids = {id(subframe) for subframe in missing}
-                    for subframe in self._current.unicast_subframes:
-                        if id(subframe) not in missing_ids:
-                            journey.record(now, node, "mac", "acked",
-                                           subframe.packet,
-                                           attempt=self._exchange_seq)
+                    self._probe.emit("mac", "acked", self.name,
+                                     [subframe for subframe in self._current.unicast_subframes
+                                      if id(subframe) not in missing_ids])
                 self._handle_failure(data_was_sent=True, preserved_unicast=missing)
                 return
         self._complete_success()
@@ -531,10 +480,9 @@ class AggregatingMac:
 
     def _deliver_up(self, subframe: MacSubframe) -> None:
         self.stats.subframes_delivered_up += 1
-        journey = self._journey
-        if journey.enabled:
-            journey.record(self.sim.now, self._journey_node, "mac", "deliver",
-                           subframe.packet, src=str(subframe.src))
+        if self._probe.enabled:
+            self._probe.emit("mac", "deliver", self.name, subframe.packet,
+                             src=str(subframe.src))
         if self._receive_callback is not None:
             self._receive_callback(subframe.packet, subframe.src)
 
@@ -542,13 +490,7 @@ class AggregatingMac:
     # Exchange completion
     # ------------------------------------------------------------------
     def _complete_success(self, broadcast_only: bool = False) -> None:
-        journey = self._journey
-        if journey.enabled and self._current is not None:
-            now = self.sim.now
-            node = self._journey_node
-            for subframe in self._current.unicast_subframes:
-                journey.record(now, node, "mac", "acked", subframe.packet,
-                               attempt=self._exchange_seq)
+        current = self._current
         retries = self._retry_count
         self.backoff.on_success()
         self.rate_controller.on_success()
@@ -557,13 +499,11 @@ class AggregatingMac:
         self._pending_retry = None
         self._flush_forced = False
         self.state = MacState.IDLE
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit(self.name, "mac", "exchange_done", broadcast_only=broadcast_only)
-        metrics = self._metrics
-        if metrics.enabled:
-            metrics.inc("mac.exchanges", node=self.name, outcome="success")
-            metrics.observe("mac.exchange_retries", retries, node=self.name)
+        if self._probe.enabled:
+            # The exchange's unicast portion leaves custody (acknowledged).
+            self._probe.emit("mac", "exchange_done", self.name,
+                             current.unicast_subframes, retries,
+                             broadcast_only=broadcast_only)
         self._try_start_access()
 
     def _on_response_timeout(self) -> None:
@@ -583,25 +523,17 @@ class AggregatingMac:
         self.rate_controller.on_failure()
         self._retry_count += 1
 
-        journey = self._journey
         if self._retry_count > self.timing.retry_limit:
             # Give up on the unicast portion entirely.
             dropped = len(self._current.unicast_subframes)
             self.stats.unicast_drops += dropped
-            if journey.enabled:
-                now = self.sim.now
-                node = self._journey_node
-                doomed = (preserved_unicast if preserved_unicast is not None
-                          else self._current.unicast_subframes)
-                for subframe in doomed:
-                    journey.record(now, node, "mac", "drop", subframe.packet,
-                                   reason="retry_limit")
-                if not data_was_sent:
-                    # The RTS chain failed with the broadcast portion still
-                    # untransmitted; those packets die here too.
-                    for subframe in self._current.broadcast_subframes:
-                        journey.record(now, node, "mac", "drop",
-                                       subframe.packet, reason="retry_limit")
+            affected = list(preserved_unicast if preserved_unicast is not None
+                            else self._current.unicast_subframes)
+            if not data_was_sent:
+                # The RTS chain failed with the broadcast portion still
+                # untransmitted; those packets die here too.
+                affected += self._current.broadcast_subframes
+            drop_reason: Optional[str] = "retry_limit"
             self._pending_retry = None
             self._retry_count = 0
             self.backoff.on_success()
@@ -617,24 +549,16 @@ class AggregatingMac:
                 retry = self._current
             for subframe in retry.unicast_subframes:
                 subframe.retries += 1
-            if journey.enabled:
-                now = self.sim.now
-                node = self._journey_node
-                for subframe in retry.unicast_subframes:
-                    journey.record(now, node, "mac", "retry", subframe.packet,
-                                   attempt=self._exchange_seq,
-                                   count=subframe.retries)
+            affected, drop_reason = retry.unicast_subframes, None
             self._pending_retry = retry if not retry.empty else None
 
         self._current = None
         self.state = MacState.IDLE
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit(self.name, "mac", "exchange_failed", retries=self._retry_count,
-                        data_sent=data_was_sent)
-        metrics = self._metrics
-        if metrics.enabled:
-            metrics.inc("mac.exchanges", node=self.name, outcome="failure")
+        if self._probe.enabled:
+            # The affected subframes are dropped (drop_reason) or retried.
+            self._probe.emit("mac", "exchange_failed", self.name, affected,
+                             drop_reason, retries=self._retry_count,
+                             data_sent=data_was_sent)
         self._try_start_access()
 
     # ------------------------------------------------------------------

@@ -16,7 +16,6 @@ from typing import Optional
 from repro.errors import ConfigurationError
 from repro.net.address import IpAddress
 from repro.net.packet import Packet
-from repro.obs.journey import node_of
 from repro.sim.simulator import Simulator
 from repro.sim.timer import PeriodicTimer
 
@@ -42,7 +41,8 @@ class FloodingSource:
         self._timer = PeriodicTimer(sim, interval, self._emit,
                                     priority=Simulator.PRIORITY_APP, name=self.name)
         self.packets_sent = 0
-        sim.metrics.register_collector(self._collect_metrics)
+        self._probe = sim.probe
+        sim.probe.register_collector(self._collect_metrics)
 
     def _collect_metrics(self, registry) -> None:
         """Snapshot-time collector: generator output as a per-source gauge."""
@@ -70,11 +70,9 @@ class FloodingSource:
             annotations={"flood_index": self.packets_sent},
         )
         self.packets_sent += 1
-        journey = self.sim.journey
-        if journey.enabled:
-            journey.begin(self.sim.now,
-                          node_of(getattr(self.network, "name", self.name), "net"),
-                          "app", packet, event="send", source=self.name)
+        if self._probe.enabled:
+            self._probe.emit("app", "send", getattr(self.network, "name", self.name),
+                             packet, source=self.name)
         self.network.send(packet)
         # Small jitter on subsequent emissions avoids lock-step collisions
         # between nodes flooding at the same nominal rate.

@@ -73,7 +73,6 @@ from repro.net.dynamic_routing import (
 )
 from repro.net.packet import IpHeader, Packet
 from repro.net.routing import BROADCAST_IP
-from repro.obs.journey import node_of
 from repro.sim.simulator import Simulator
 from repro.sim.timer import Timer
 
@@ -217,11 +216,8 @@ class AodvRouter:
         self.route_changes = 0
         self.route_breaks = 0
         self.route_expirations = 0
-        self._metrics = sim.metrics
-        self._journey = sim.journey
-        self._journey_node = node_of(
-            getattr(network, "name", str(self.address)), "net")
-        sim.metrics.register_collector(self._collect_metrics)
+        self._probe = sim.probe
+        sim.probe.register_collector(self._collect_metrics)
         network.register_handler(AODV_PROTOCOL, self._on_control)
         network.set_no_route_handler(self._on_no_route)
         network.set_forward_observer(self._on_data_forwarded)
@@ -242,7 +238,7 @@ class AodvRouter:
         self._stopped = True
         self.discovery.stop()
         self._expiry_timer.cancel()
-        journey = self._journey
+        probe = self._probe
         for destination in sorted(self._pending):
             state = self._pending[destination]
             if state.timer is not None:
@@ -250,10 +246,9 @@ class AodvRouter:
             for packet in state.buffered:
                 if _is_data(packet):
                     self.buffered_packets_dropped += 1
-                    if journey.enabled:
-                        journey.record(self.sim.now, self._journey_node,
-                                       "net", "drop", packet,
-                                       reason="shutdown")
+                    if probe.enabled:
+                        probe.emit("net", "drop", self.network.name, packet,
+                                   reason="shutdown")
         self._pending.clear()
 
     @property
@@ -291,10 +286,11 @@ class AodvRouter:
             if len(state.buffered) >= self.config.buffer_packets:
                 evicted = state.buffered.pop(0)
                 self.buffered_packets_dropped += 1
-                journey = self._journey
-                if journey.enabled and _is_data(evicted):
-                    journey.record(self.sim.now, self._journey_node, "net",
-                                   "drop", evicted, reason="buffer_full")
+                if self._probe.enabled:
+                    # A warm-up probe never opened a journey; its drop is
+                    # ignored by the recorder.
+                    self._probe.emit("net", "drop", self.network.name, evicted,
+                                     reason="buffer_full")
             state.buffered.append(packet)
         return True
 
@@ -344,11 +340,10 @@ class AodvRouter:
         state.attempts += 1
         if state.ttl >= self.config.ring_max_ttl:
             state.attempts_at_max += 1
-        self.sim.tracer.emit(self.name, "aodv", "rreq_tx",
+        if self._probe.enabled:
+            self._probe.emit("aodv", "rreq_tx", self.name,
                              dest=str(state.destination), ttl=state.ttl,
                              attempt=state.attempts)
-        if self._metrics.enabled:
-            self._metrics.inc("aodv.control_tx", node=self.name, kind="rreq")
         self.network.send(packet)
         state.timer.start(self.config.ring_timeout_per_ttl * state.ttl)
 
@@ -375,13 +370,10 @@ class AodvRouter:
         self.discoveries_failed += 1
         dropped = sum(1 for packet in state.buffered if _is_data(packet))
         self.buffered_packets_dropped += dropped
-        journey = self._journey
-        if journey.enabled:
-            for packet in state.buffered:
-                if _is_data(packet):
-                    journey.record(self.sim.now, self._journey_node, "net",
-                                   "drop", packet, reason="rreq_exhausted")
-        self.sim.tracer.emit(self.name, "aodv", "discovery_failed",
+        if self._probe.enabled:
+            # The buffered packets die with the discovery (warm-up probes
+            # never opened a journey, so only data packets are recorded).
+            self._probe.emit("aodv", "discovery_failed", self.name, state.buffered,
                              dest=str(state.destination), dropped=dropped)
         state.buffered.clear()
 
@@ -392,7 +384,8 @@ class AodvRouter:
         if state.timer is not None:
             state.timer.cancel()
         self.discoveries_completed += 1
-        self.sim.tracer.emit(self.name, "aodv", "discovery_complete",
+        if self._probe.enabled:
+            self._probe.emit("aodv", "discovery_complete", self.name,
                              dest=str(destination), flushed=len(state.buffered))
         for packet in state.buffered:
             if _is_data(packet):  # warm-up probes never enter the data plane
@@ -490,7 +483,8 @@ class AodvRouter:
                 "aodv_hops": hops,
             })
         self.rreps_sent += 1
-        self.sim.tracer.emit(self.name, "aodv", "rrep_tx",
+        if self._probe.enabled:
+            self._probe.emit("aodv", "rrep_tx", self.name,
                              origin=str(origin), via=str(next_hop))
         self.network.send(packet)
 
@@ -527,7 +521,8 @@ class AodvRouter:
             annotations={"aodv_type": "rerr",
                          "aodv_unreachable": tuple(unreachable)})
         self.rerrs_sent += 1
-        self.sim.tracer.emit(self.name, "aodv", "rerr_tx",
+        if self._probe.enabled:
+            self._probe.emit("aodv", "rerr_tx", self.name,
                              destinations=len(unreachable))
         self.network.send(packet)
 

@@ -18,7 +18,6 @@ from repro.errors import RoutingError
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
 from repro.net.address import IpAddress
 from repro.net.packet import Packet
-from repro.obs.journey import node_of
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -148,9 +147,8 @@ class ForwardingEngine:
         self._handlers: Dict[str, PacketHandler] = {}
         self._no_route_handler: Optional[NoRouteHandler] = None
         self._forward_observer: Optional[ForwardObserver] = None
-        self._journey = sim.journey
-        self._journey_node = node_of(self.name, "net")
-        sim.metrics.register_collector(self._collect_metrics)
+        self._probe = sim.probe
+        sim.probe.register_collector(self._collect_metrics)
         mac.set_receive_callback(self._on_mac_receive)
 
     def _collect_metrics(self, registry) -> None:
@@ -187,10 +185,8 @@ class ForwardingEngine:
     def send(self, packet: Packet) -> bool:
         """Send a locally originated packet towards ``packet.ip.dst``."""
         self.stats.sent_local += 1
-        journey = self._journey
-        if journey.enabled:
-            journey.begin(self.sim.now, self._journey_node, "net", packet,
-                          event="origin")
+        if self._probe.enabled:
+            self._probe.emit("net", "origin", self.name, packet)
         return self._route_and_enqueue(packet)
 
     def reinject(self, packet: Packet) -> bool:
@@ -199,10 +195,8 @@ class ForwardingEngine:
         Identical to :meth:`send` except the packet is not counted as locally
         originated again — it already was when it entered the stack.
         """
-        journey = self._journey
-        if journey.enabled:
-            journey.record(self.sim.now, self._journey_node, "net", "reinject",
-                           packet)
+        if self._probe.enabled:
+            self._probe.emit("net", "reinject", self.name, packet)
         return self._route_and_enqueue(packet)
 
     def _route_and_enqueue(self, packet: Packet) -> bool:
@@ -217,18 +211,17 @@ class ForwardingEngine:
             next_hop_ip = self.routing_table.next_hop(destination)
             next_hop_mac = self.neighbors.resolve(next_hop_ip)
         except RoutingError:
-            journey = self._journey
+            probe = self._probe
             if (self._no_route_handler is not None
                     and self._no_route_handler(packet)):
                 self.stats.no_route_buffered += 1
-                if journey.enabled:
-                    journey.record(self.sim.now, self._journey_node, "net",
-                                   "buffer", packet, reason="no_route")
+                if probe.enabled:
+                    probe.emit("net", "buffer", self.name, packet,
+                               reason="no_route")
                 return True
             self.stats.no_route_drops += 1
-            if journey.enabled:
-                journey.record(self.sim.now, self._journey_node, "net",
-                               "drop", packet, reason="no_route")
+            if probe.enabled:
+                probe.emit("net", "drop", self.name, packet, reason="no_route")
             return False
         if self._forward_observer is not None:
             self._forward_observer(packet, next_hop_ip)
@@ -239,12 +232,11 @@ class ForwardingEngine:
     # ------------------------------------------------------------------
     def _on_mac_receive(self, packet: Packet, source_mac: MacAddress) -> None:
         destination = packet.ip.dst
-        journey = self._journey
+        probe = self._probe
         if destination == BROADCAST_IP:
             self.stats.delivered_broadcast += 1
-            if journey.enabled:
-                journey.record(self.sim.now, self._journey_node, "net",
-                               "deliver_bcast", packet)
+            if probe.enabled:
+                probe.emit("net", "deliver_bcast", self.name, packet)
             self._dispatch(packet, source_mac)
             return
         if destination == self.address:
@@ -254,22 +246,19 @@ class ForwardingEngine:
         forwarded = packet.with_decremented_ttl()
         if forwarded.ip.ttl <= 0:
             self.stats.ttl_drops += 1
-            if journey.enabled:
-                journey.record(self.sim.now, self._journey_node, "net",
-                               "drop", forwarded, reason="ttl")
+            if probe.enabled:
+                probe.emit("net", "drop", self.name, forwarded, reason="ttl")
             return
         self.stats.forwarded += 1
-        if journey.enabled:
-            journey.record(self.sim.now, self._journey_node, "net",
-                           "forward", forwarded, ttl=forwarded.ip.ttl)
+        if probe.enabled:
+            probe.emit("net", "forward", self.name, forwarded,
+                       ttl=forwarded.ip.ttl)
         self._route_and_enqueue(forwarded)
 
     def _deliver_local(self, packet: Packet, source_mac: MacAddress) -> None:
         self.stats.delivered_local += 1
-        journey = self._journey
-        if journey.enabled:
-            journey.record(self.sim.now, self._journey_node, "net", "deliver",
-                           packet)
+        if self._probe.enabled:
+            self._probe.emit("net", "deliver", self.name, packet)
         self._dispatch(packet, source_mac)
 
     def _dispatch(self, packet: Packet, source_mac: MacAddress) -> None:
@@ -277,10 +266,9 @@ class ForwardingEngine:
         handler = self._handlers.get(protocol)
         if handler is None:
             self.stats.unhandled_protocol_drops += 1
-            journey = self._journey
-            if journey.enabled:
-                journey.record(self.sim.now, self._journey_node, "net",
-                               "drop", packet, reason="unhandled_protocol")
+            if self._probe.enabled:
+                self._probe.emit("net", "drop", self.name, packet,
+                                 reason="unhandled_protocol")
             return
         handler(packet, source_mac)
 

@@ -9,12 +9,11 @@ reason-coded drop (``queue_full``, ``no_route``, ``rreq_exhausted``,
 ``retry_limit``, ``ttl``, ...).
 
 The :class:`JourneyRecorder` is the hot-path half: a side table keyed by
-packet uid (packets are never mutated, so byte-determinism is untouched) that
-components append :class:`JourneyEvent` records to.  Every call site sits
-behind an ``.enabled`` guard (enforced by lint rule RPR005 for the hot-path
-modules), and :data:`NULL_JOURNEY` is the shared disabled instance every
-:class:`~repro.sim.simulator.Simulator` starts with, so the disabled cost is
-one attribute load and a branch per site.
+packet uid (packets are never mutated, so byte-determinism is untouched) of
+:class:`JourneyEvent` records.  It is a probe subscriber
+(:mod:`repro.obs.probe`): it turns the events that move a packet into
+custody records, one per packet or per subframe of a frame or aggregate.
+Without a subscribed recorder nothing is recorded or allocated.
 
 The analysis half runs off the hot path, after the simulation:
 
@@ -66,7 +65,6 @@ __all__ = [
     "Journey",
     "JourneyEvent",
     "JourneyRecorder",
-    "NULL_JOURNEY",
     "conservation_audit",
     "flow_arrows",
     "flow_summaries",
@@ -140,6 +138,30 @@ class Journey:
                 f"{self.protocol} events={len(self.events)}>")
 
 
+# ----------------------------------------------------------------------
+# Probe events -> journey events
+# ----------------------------------------------------------------------
+#: Transport and application components report under their node's
+#: network-layer name (``"node3.net"``); everything else under its own.
+_NODE_SUFFIX = {"tcp": "net", "udp": "net", "app": "net"}
+#: One-packet events that open a journey, and those recorded as emitted.
+_OPENS = {("net", "origin"), ("tcp", "send"), ("udp", "send"), ("app", "send")}
+_FOLLOWS = {("net", "reinject"), ("net", "buffer"), ("net", "drop"),
+            ("net", "forward"), ("net", "deliver"), ("net", "deliver_bcast"),
+            ("tcp", "deliver"), ("tcp", "drop"), ("udp", "deliver"),
+            ("udp", "drop"), ("app", "consume"), ("mac", "deliver")}
+#: Events that :meth:`JourneyRecorder._expand` turns into custody records.
+_EXPANDED = {("mac", "queue_full"), ("mac", "enqueue"), ("mac", "aggregate"),
+             ("mac", "data_tx"), ("mac", "sent_unacked"), ("mac", "acked"),
+             ("mac", "exchange_done"), ("mac", "exchange_failed"),
+             ("phy", "rx_end"), ("aodv", "discovery_failed")}
+
+
+def _portions(frame: Any) -> Tuple[Tuple[str, Any], Tuple[str, Any]]:
+    return (("broadcast", frame.broadcast_subframes),
+            ("unicast", frame.unicast_subframes))
+
+
 class JourneyRecorder:
     """Flight recorder for packet journeys (the per-simulator instrument).
 
@@ -150,15 +172,19 @@ class JourneyRecorder:
     truncation rather than failing.
     """
 
-    __slots__ = ("enabled", "max_journeys", "dropped", "journeys", "_by_uid")
+    __slots__ = ("max_journeys", "dropped", "journeys", "_by_uid",
+                 "_attempts")
 
-    def __init__(self, enabled: bool = False,
-                 max_journeys: Optional[int] = 200_000) -> None:
-        self.enabled = enabled
+    #: The probe events that move a packet.
+    kinds = frozenset(_OPENS | _FOLLOWS | _EXPANDED)
+
+    def __init__(self, max_journeys: Optional[int] = 200_000) -> None:
         self.max_journeys = max_journeys
         self.dropped = 0
         self.journeys: List[Journey] = []
         self._by_uid: Dict[int, Journey] = {}
+        #: node -> transmit attempts aggregated by its MAC so far.
+        self._attempts: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.journeys)
@@ -197,10 +223,70 @@ class JourneyRecorder:
         journey.events.append(
             JourneyEvent(now, node, layer, event, fields or None))
 
+    def on_probe(self, now: float, layer: str, kind: str, source: str,
+                 packet: Any, detail: Any, fields: Dict[str, Any]) -> None:
+        """Record the custody change a probe event means for its packets."""
+        node = node_of(source, _NODE_SUFFIX.get(layer, layer))
+        if (layer, kind) in _OPENS:
+            self.begin(now, node, layer, packet, kind, **fields)
+        elif (layer, kind) in _FOLLOWS:
+            self.record(now, node, layer, kind, packet, **fields)
+        else:
+            self._expand(now, node, kind, packet, detail, fields)
 
-#: The shared disabled recorder installed on every simulator by default.
-#: Never enable or record into this instance.
-NULL_JOURNEY = JourneyRecorder(enabled=False, max_journeys=0)
+    def _expand(self, now: float, node: str, kind: str, packet: Any,
+                detail: Any, fields: Dict[str, Any]) -> None:
+        """Records for the events that carry a frame, an aggregate or a list
+        of packets; MAC transmit attempts are numbered per node."""
+        record = self.record
+        attempt = self._attempts.get(node, 0)
+        if kind == "queue_full":
+            record(now, node, "mac", "drop", packet, reason="queue_full")
+        elif kind == "enqueue":
+            record(now, node, "mac", "enqueue", packet, queue=fields["queue"])
+        elif kind == "aggregate":
+            attempt = self._attempts[node] = attempt + 1
+            for portion, subframes in _portions(packet):
+                for slot, subframe in enumerate(subframes):
+                    record(now, node, "mac", "aggregate", subframe.packet,
+                           attempt=attempt, slot=slot, portion=portion)
+        elif kind == "data_tx":
+            for portion, subframes in _portions(packet):
+                for subframe in subframes:
+                    record(now, node, "mac", "tx", subframe.packet,
+                           attempt=attempt, portion=portion)
+        elif kind == "sent_unacked":
+            # The broadcast portion is never acknowledged.
+            for subframe in packet.broadcast_subframes:
+                record(now, node, "mac", "sent_unacked", subframe.packet,
+                       attempt=attempt)
+        elif kind in ("acked", "exchange_done"):
+            for subframe in packet:
+                record(now, node, "mac", "acked", subframe.packet,
+                       attempt=attempt)
+        elif kind == "exchange_failed":
+            # ``detail`` is the drop reason when the MAC gave up, else None.
+            for subframe in packet:
+                if detail is not None:
+                    record(now, node, "mac", "drop", subframe.packet,
+                           reason=detail)
+                else:
+                    record(now, node, "mac", "retry", subframe.packet,
+                           attempt=attempt, count=subframe.retries)
+        elif kind == "rx_end":
+            frame = detail.frame
+            if frame.kind.is_control:
+                return
+            for (_, subframes), oks in zip(_portions(frame),
+                                           (detail.broadcast_ok,
+                                            detail.unicast_ok)):
+                for subframe, ok in zip(subframes, oks):
+                    record(now, node, "phy", "rx", subframe.packet, ok=ok,
+                           collided=fields["collided"], snr=fields["snr"])
+        else:  # aodv discovery_failed: the buffered packets die with it
+            for buffered in packet:
+                record(now, node, "net", "drop", buffered,
+                       reason="rreq_exhausted")
 
 
 # ----------------------------------------------------------------------

@@ -15,15 +15,10 @@ plus a **label set** (``node="node3.phy", outcome="collided"``), so one
 logical metric fans out per node / per layer / per outcome without ad-hoc
 dict-of-dict counters.
 
-Two cost tiers keep the hot path honest:
-
-* **Disabled** (the default — every simulator starts with the shared
-  :data:`NULL_METRICS` registry): instrument sites guard on
-  ``registry.enabled``, which costs one attribute load and branch, exactly
-  like the existing tracer guards.  Nothing is allocated and nothing is
-  stored.
-* **Enabled**: incrementing resolves the instrument through one dict lookup
-  keyed by ``(name, sorted labels)``.
+The registry is a probe subscriber: :data:`METRIC_TABLE` declares which
+counters and histograms each protocol event feeds, so no layer calls the
+registry per event.  An observability session subscribes one registry per
+simulator; without one nothing is allocated and nothing is stored.
 
 Besides live instruments, layers may register **collectors** — callbacks run
 at snapshot time that harvest an existing statistics object (e.g.
@@ -37,7 +32,7 @@ and snapshots can be compared with ``==``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 #: Default histogram bucket upper bounds (``+Inf`` is implicit).  Chosen to
 #: be useful for the repo's common distributions (dB values, counts, small
@@ -111,54 +106,99 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
 
-class _NullCounter:
-    """Shared no-op counter handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:  # noqa: ARG002 - intentional no-op
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-
-    def set(self, value: float) -> None:  # noqa: ARG002
-        pass
-
-    def add(self, amount: float) -> None:  # noqa: ARG002
-        pass
-
-
-class _NullHistogram:
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:  # noqa: ARG002
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
 #: Signature of a snapshot-time collector: it receives the registry and sets
 #: gauges (or increments counters) from state it already maintains.
 Collector = Callable[["MetricsRegistry"], None]
 
 
+#: A label value or an observed value: the name of an event field, or a
+#: function of the event's ``(fields, detail)``.
+Spec = Union[str, Callable[[Dict[str, Any], Any], Any]]
+
+
+def _resolve(spec: Spec, fields: Dict[str, Any], detail: Any) -> Any:
+    return fields[spec] if isinstance(spec, str) else spec(fields, detail)
+
+
+def _const(value: str) -> Callable[[Dict[str, Any], Any], str]:
+    return lambda fields, detail: value
+
+
+class Feed:
+    """A :data:`METRIC_TABLE` entry: count the event in counter ``name``, or
+    with a ``value`` observe it in histogram ``name``.  Labelled
+    ``node=<source>`` plus ``labels``."""
+
+    __slots__ = ("name", "value", "labels")
+
+    def __init__(self, name: str, value: Optional[Spec] = None,
+                 **labels: Spec) -> None:
+        self.name = name
+        self.value = value
+        self.labels = labels
+
+    def __call__(self, registry: "MetricsRegistry", source: str,
+                 fields: Dict[str, Any], detail: Any) -> None:
+        labels = {label: _resolve(spec, fields, detail)
+                  for label, spec in self.labels.items()}
+        if self.value is None:
+            registry.counter(self.name, node=source, **labels).inc()
+        else:
+            registry.histogram(self.name, node=source, **labels).observe(
+                _resolve(self.value, fields, detail))
+
+
+def _rx_outcome(fields: Dict[str, Any], result: Any) -> str:
+    if fields["collided"]:
+        return "collided"
+    return "decoded" if result.any_ok else "undecoded"
+
+
+#: ``(layer, kind) -> feeds`` of that probe event.  A frame going on the air
+#: is one event (the PHY's ``tx_start``), which also yields the channel's
+#: per-frame metrics.
+METRIC_TABLE: Dict[Tuple[str, str], Tuple[Feed, ...]] = {
+    ("phy", "tx_start"): (
+        Feed("phy.tx_frames", kind="kind"),
+        Feed("channel.transmissions", kind="kind"),
+        Feed("channel.airtime_ms",
+             lambda fields, frame: fields["duration"] * 1e3),
+    ),
+    ("phy", "rx_end"): (
+        Feed("phy.rx_frames", kind="kind", outcome=_rx_outcome),
+        Feed("phy.rx_snr_db", lambda fields, result: result.snr_db),
+    ),
+    ("mac", "queue_full"): (Feed("mac.queue_drops", kind="queue"),),
+    ("mac", "enqueue"): (Feed("mac.enqueued", queue="queue"),),
+    ("mac", "exchange_done"): (
+        Feed("mac.exchanges", outcome=_const("success")),
+        Feed("mac.exchange_retries", lambda fields, retries: retries),
+    ),
+    ("mac", "exchange_failed"): (
+        Feed("mac.exchanges", outcome=_const("failure")),),
+    ("discovery", "neighbor_up"): (
+        Feed("discovery.neighbor_events", transition=_const("up")),),
+    ("discovery", "neighbor_down"): (
+        Feed("discovery.neighbor_events", transition=_const("down")),),
+    ("dsdv", "update_tx"): (
+        Feed("dsdv.updates", kind=lambda fields, detail: (
+            "triggered" if fields["triggered"] else "periodic")),),
+    ("aodv", "rreq_tx"): (Feed("aodv.control_tx", kind=_const("rreq")),),
+}
+
+
 class MetricsRegistry:
     """Registry of named, labelled instruments with deterministic export.
 
-    Instrument sites should guard with :attr:`enabled` before resolving an
-    instrument so the disabled path stays near-free::
-
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.inc("phy.tx_frames", node=self.name, kind="data")
+    As a probe subscriber it counts the events named in :data:`METRIC_TABLE`;
+    collectors and direct ``counter(...)``/``gauge(...)``/``histogram(...)``
+    use need no probe.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    #: The probe events that feed an instrument.
+    kinds = frozenset(METRIC_TABLE)
+
+    def __init__(self) -> None:
         self._counters: Dict[MetricKey, Counter] = {}
         self._gauges: Dict[MetricKey, Gauge] = {}
         self._histograms: Dict[MetricKey, Histogram] = {}
@@ -169,8 +209,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
         """The counter for ``(name, labels)``, created on first use."""
-        if not self.enabled:
-            return _NULL_COUNTER
         key = (name, _labels_key(labels))
         found = self._counters.get(key)
         if found is None:
@@ -179,8 +217,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         """The gauge for ``(name, labels)``, created on first use."""
-        if not self.enabled:
-            return _NULL_GAUGE
         key = (name, _labels_key(labels))
         found = self._gauges.get(key)
         if found is None:
@@ -194,45 +230,30 @@ class MetricsRegistry:
         ``bounds`` applies only at creation; later calls with different
         bounds reuse the existing instrument unchanged.
         """
-        if not self.enabled:
-            return _NULL_HISTOGRAM
         key = (name, _labels_key(labels))
         found = self._histograms.get(key)
         if found is None:
             found = self._histograms[key] = Histogram(bounds)
         return found
 
-    # ------------------------------------------------------------------
-    # One-shot helpers (resolve + record)
-    # ------------------------------------------------------------------
-    def inc(self, name: str, amount: int = 1, **labels: Any) -> None:
-        """Increment the counter ``(name, labels)`` by ``amount``."""
-        if self.enabled:
-            self.counter(name, **labels).inc(amount)
-
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
-        """Set the gauge ``(name, labels)`` to ``value``."""
-        if self.enabled:
-            self.gauge(name, **labels).set(value)
+        """Set the gauge ``(name, labels)`` to ``value`` (collectors' helper)."""
+        self.gauge(name, **labels).set(value)
 
-    def observe(self, name: str, value: float,
-                bounds: Sequence[float] = DEFAULT_BUCKETS, **labels: Any) -> None:
-        """Record ``value`` in the histogram ``(name, labels)``."""
-        if self.enabled:
-            self.histogram(name, bounds, **labels).observe(value)
+    def on_probe(self, now: float, layer: str, kind: str, source: str,
+                 packet: Any, detail: Any, fields: Dict[str, Any]) -> None:
+        """Feed every instrument :data:`METRIC_TABLE` lists for the event."""
+        for feed in METRIC_TABLE[layer, kind]:
+            feed(self, source, fields, detail)
 
     # ------------------------------------------------------------------
     # Collectors
     # ------------------------------------------------------------------
     def register_collector(self, collector: Collector) -> None:
-        """Run ``collector(registry)`` at every snapshot (no-op when disabled).
-
-        Collectors let a layer export statistics it already maintains (the
-        MAC's :class:`~repro.mac.stats.MacStatistics`, the forwarding
-        engine's counters) without paying anything on the hot path.
-        """
-        if self.enabled:
-            self._collectors.append(collector)
+        """Run ``collector(registry)`` at every snapshot, so a layer exports
+        statistics it already keeps (``MacStatistics``, forwarding counters)
+        at no per-event cost; layers register through the probe."""
+        self._collectors.append(collector)
 
     # ------------------------------------------------------------------
     # Export
@@ -275,11 +296,5 @@ class MetricsRegistry:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "enabled" if self.enabled else "disabled"
-        return f"<MetricsRegistry {state} instruments={len(self)}>"
+        return f"<MetricsRegistry instruments={len(self)}>"
 
-
-#: The shared disabled registry every :class:`~repro.sim.simulator.Simulator`
-#: starts with.  It never stores anything, so sharing one instance
-#: process-wide is safe.
-NULL_METRICS = MetricsRegistry(enabled=False)

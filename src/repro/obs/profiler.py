@@ -9,9 +9,9 @@ spent popping the heap and dispatching — everything in the loop that is not
 a callback — lands in the named ``scheduler`` category, so the table
 attributes ~100% of the measured loop time to named rows.
 
-Attaching a profiler switches :meth:`repro.sim.simulator.Simulator.run` to a
-separate profiled loop; the normal loop is untouched, so profiling costs
-nothing when off.  Categorisation is cached per function object, keeping the
+With a profiler attached, :meth:`repro.sim.simulator.Simulator.run` times
+each callback; without one the loop pays a single ``profiler is None`` test
+per event.  Categorisation is cached per function object, keeping the
 per-event overhead to two ``perf_counter`` calls and a dict hit.
 """
 
@@ -148,5 +148,5 @@ class HotPathProfiler:
                 f"loop_seconds={self.loop_seconds:.4f}>")
 
 
-#: Re-exported so the simulator's profiled loop and tests share one clock.
+#: Re-exported so the simulator's run loop and tests share one clock.
 perf_counter = time.perf_counter

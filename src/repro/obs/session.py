@@ -8,11 +8,12 @@ the process-wide *active session*; ``Simulator.__init__`` calls
 :func:`on_simulator_created`, and the session adopts each new simulator as it
 appears:
 
-* enables its tracer (bounded by ``max_trace_records``),
-* swaps its disabled :data:`~repro.obs.metrics.NULL_METRICS` for a live
-  per-simulator :class:`~repro.obs.metrics.MetricsRegistry`,
-* attaches the session's shared :class:`~repro.obs.capture.FrameCapture`
-  and/or :class:`~repro.obs.profiler.HotPathProfiler`.
+* subscribes to its :class:`~repro.obs.probe.Probe` a per-simulator
+  :class:`~repro.obs.tracer.Tracer` (bounded by ``max_trace_records``),
+  :class:`~repro.obs.metrics.MetricsRegistry` and
+  :class:`~repro.obs.journey.JourneyRecorder`, and the session's shared
+  :class:`~repro.obs.capture.FrameCapture`;
+* attaches the session's shared :class:`~repro.obs.profiler.HotPathProfiler`.
 
 Everything adopted only *observes* — no RNG draws, no scheduling — so runs
 are byte-identical with a session active or not (enforced by tests).
@@ -43,6 +44,7 @@ from repro.obs.journey import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import HotPathProfiler
 from repro.obs.timeline import chrome_trace_document, export_chrome_trace
+from repro.obs.tracer import Tracer
 
 
 @dataclass(frozen=True)
@@ -54,18 +56,13 @@ class ObsConfig:
     capture: bool = False
     profile: bool = False
     journey: bool = False
-    #: Per-simulator tracer storage bound (listeners still see every record).
+    #: Per-simulator tracer storage bound.
     max_trace_records: Optional[int] = 500_000
     #: Shared capture storage bound across all simulators of the session.
     max_capture_frames: Optional[int] = 500_000
     #: Per-simulator journey-recorder bound (packets past it are counted,
     #: not followed).
     max_journeys: Optional[int] = 200_000
-
-    @property
-    def any_enabled(self) -> bool:
-        return (self.trace or self.metrics or self.capture or self.profile
-                or self.journey)
 
 
 class ObsSession:
@@ -85,19 +82,17 @@ class ObsSession:
     # Adoption (called from Simulator.__init__ via the module hook)
     # ------------------------------------------------------------------
     def adopt(self, sim: Any) -> None:
-        """Attach the session's instruments to a newly created simulator."""
+        """Subscribe the session's instruments to a new simulator's probe."""
         self.simulators.append(sim)
-        if self.config.trace:
-            sim.tracer.enabled = True
-            if sim.tracer.max_records is None:
-                sim.tracer.max_records = self.config.max_trace_records
-        if self.config.metrics:
-            sim.metrics = MetricsRegistry(enabled=True)
-        if self.config.journey:
-            sim.journey = JourneyRecorder(
-                enabled=True, max_journeys=self.config.max_journeys)
+        config, probe = self.config, sim.probe
+        if config.trace:
+            probe.subscribe(Tracer(max_records=config.max_trace_records))
+        if config.metrics:
+            probe.subscribe(MetricsRegistry())
+        if config.journey:
+            probe.subscribe(JourneyRecorder(max_journeys=config.max_journeys))
         if self.capture is not None:
-            sim.capture = self.capture
+            probe.subscribe(self.capture)
         if self.profiler is not None:
             sim.profiler = self.profiler
 
@@ -105,17 +100,17 @@ class ObsSession:
     # Exports
     # ------------------------------------------------------------------
     def _trace_groups(self) -> List[Tuple[str, List[Any]]]:
-        traced = [sim for sim in self.simulators if sim.tracer.records]
+        traced = [sim for sim in self.simulators if sim.tracer and sim.tracer.records]
         many = len(traced) > 1
         return [(f"sim{index}/" if many else "", sim.tracer.records)
                 for index, sim in enumerate(traced)]
 
     def _flow_groups(self) -> List[Tuple[str, List[Dict[str, Any]]]]:
         """Journey flow arrows keyed by the same prefixes as trace groups."""
-        traced = [sim for sim in self.simulators if sim.tracer.records]
+        traced = [sim for sim in self.simulators if sim.tracer and sim.tracer.records]
         many = len(traced) > 1
         return [(f"sim{index}/" if many else "", flow_arrows(sim.journey))
-                for index, sim in enumerate(traced) if sim.journey.enabled]
+                for index, sim in enumerate(traced) if sim.journey is not None]
 
     def timeline_document(self) -> Dict[str, Any]:
         """The merged Chrome trace-event document for every adopted run."""
@@ -133,7 +128,7 @@ class ObsSession:
             "simulations": [
                 {"simulation": index, "metrics": sim.metrics.snapshot()}
                 for index, sim in enumerate(self.simulators)
-                if sim.metrics.enabled
+                if sim.metrics is not None
             ],
         }
 
@@ -156,7 +151,7 @@ class ObsSession:
         """``(simulation index, recorder)`` for every journey-enabled sim."""
         return [(index, sim.journey)
                 for index, sim in enumerate(self.simulators)
-                if sim.journey.enabled]
+                if sim.journey is not None]
 
     def journey_count(self) -> int:
         """Total number of packet journeys recorded across all simulators."""

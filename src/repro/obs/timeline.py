@@ -1,4 +1,4 @@
-"""Chrome trace-event export for :class:`~repro.sim.trace.Tracer` streams.
+"""Chrome trace-event export for :class:`~repro.obs.tracer.Tracer` streams.
 
 Converts trace records into the `Trace Event Format`_ consumed by Perfetto
 (https://ui.perfetto.dev) and ``chrome://tracing``: one *process* track per
@@ -55,7 +55,7 @@ def chrome_trace_events(records: Iterable[Any],
     """Convert trace records into a list of Chrome trace-event dicts.
 
     ``records`` is any iterable of objects with the
-    :class:`~repro.sim.trace.TraceRecord` attributes (``time``, ``source``,
+    :class:`~repro.obs.tracer.TraceRecord` attributes (``time``, ``source``,
     ``category``, ``event``, ``fields``).  ``source_prefix`` namespaces the
     node tracks (used when merging several simulators into one timeline).
     ``flows`` is an optional list of journey flow descriptors (``{"id",

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Protocol
 
 from repro.errors import PhyError
-from repro.obs.journey import node_of
 from repro.phy.error_model import ErrorModel, ErrorModelConfig
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
 from repro.phy.timing import PhyTimingConfig
@@ -106,8 +105,8 @@ class Phy:
                  "_current_tx_frame", "_receptions", "_carrier_count",
                  "_carrier_busy_reported", "_noise_cache_dbm",
                  "_noise_cache_mw", "frames_sent", "frames_received",
-                 "frames_collided", "tx_airtime", "_metrics", "_journey",
-                 "_journey_node", "_attach_generation")
+                 "frames_collided", "tx_airtime", "_probe",
+                 "_attach_generation")
 
     def __init__(
         self,
@@ -146,10 +145,8 @@ class Phy:
         self.frames_received = 0
         self.frames_collided = 0
         self.tx_airtime = 0.0
-        self._metrics = sim.metrics
-        self._journey = sim.journey
-        self._journey_node = node_of(name, "phy")
-        sim.metrics.register_collector(self._collect_metrics)
+        self._probe = sim.probe
+        sim.probe.register_collector(self._collect_metrics)
         channel.register(self)
 
     # ------------------------------------------------------------------
@@ -248,24 +245,17 @@ class Phy:
         sim = self.sim
         sim._scheduler.push(sim.now + duration, self._finish_transmission, (frame,),
                             Simulator.PRIORITY_PHY)
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit(self.name, "phy", "tx_start", kind=frame.kind.value,
-                        bytes=frame.total_bytes, duration=duration)
-        metrics = self._metrics
-        if metrics.enabled:
-            metrics.inc("phy.tx_frames", node=self.name, kind=frame.kind.value)
-        capture = sim.capture
-        if capture is not None:
-            capture.record_tx(sim.now, self, frame, duration)
+        if self._probe.enabled:
+            self._probe.emit("phy", "tx_start", self.name, None, frame,
+                             kind=frame.kind.value, bytes=frame.total_bytes,
+                             duration=duration)
         return duration
 
     def _finish_transmission(self, frame: PhyFrame) -> None:
         self._transmitting = False
         self._current_tx_frame = None
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit(self.name, "phy", "tx_end", kind=frame.kind.value)
+        if self._probe.enabled:
+            self._probe.emit("phy", "tx_end", self.name, kind=frame.kind.value)
         if self._listener is not None:
             self._listener.on_transmit_complete(frame)
         self._update_carrier()
@@ -376,33 +366,10 @@ class Phy:
         if collided:
             self.frames_collided += 1
         self.frames_received += 1
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.emit(self.name, "phy", "rx_end", kind=frame.kind.value,
-                        snr=round(sinr_db, 1), collided=collided)
-        metrics = self._metrics
-        if metrics.enabled:
-            outcome = ("collided" if collided
-                       else "decoded" if result.any_ok else "undecoded")
-            metrics.inc("phy.rx_frames", node=self.name,
-                        kind=frame.kind.value, outcome=outcome)
-            metrics.observe("phy.rx_snr_db", sinr_db, node=self.name)
-        journey = self._journey
-        if journey.enabled and not frame.kind.is_control:
-            now = self.sim.now
-            node = self._journey_node
-            snr = round(sinr_db, 1)
-            for subframe, ok in zip(frame.broadcast_subframes,
-                                    result.broadcast_ok):
-                journey.record(now, node, "phy", "rx", subframe.packet,
-                               ok=ok, collided=collided, snr=snr)
-            for subframe, ok in zip(frame.unicast_subframes,
-                                    result.unicast_ok):
-                journey.record(now, node, "phy", "rx", subframe.packet,
-                               ok=ok, collided=collided, snr=snr)
-        capture = self.sim.capture
-        if capture is not None:
-            capture.record_rx(self.sim.now, self, result)
+        if self._probe.enabled:
+            self._probe.emit("phy", "rx_end", self.name, None, result,
+                             kind=frame.kind.value, snr=round(sinr_db, 1),
+                             collided=collided)
         if self._listener is not None and result.any_ok or self._listener is not None and collided:
             self._listener.on_frame_received(result)
 

@@ -1,7 +1,8 @@
 """The simulation clock and run loop.
 
 :class:`Simulator` owns a :class:`~repro.sim.scheduler.Scheduler`, the current
-simulated time, the root random-number streams and the tracer.  Every other
+simulated time, the root random-number streams and the instrumentation
+probe.  Every other
 component in the library holds a reference to a ``Simulator`` and interacts
 with time exclusively through it.
 """
@@ -11,15 +12,16 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.obs.journey import NULL_JOURNEY
-from repro.obs.metrics import NULL_METRICS
+from repro.obs.journey import JourneyRecorder
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import Probe
 from repro.obs.profiler import perf_counter
 from repro.obs.session import on_simulator_created
+from repro.obs.tracer import Tracer
 from repro.sim.events import Event
 from repro.sim.randomness import RandomStreams
 from repro.sim.scheduler import Scheduler
 from repro.sim.telemetry import TELEMETRY
-from repro.sim.trace import Tracer
 
 
 class Simulator:
@@ -29,10 +31,6 @@ class Simulator:
     ----------
     seed:
         Root seed for all random streams derived from this simulator.
-    trace_enabled:
-        When true, components may emit :class:`~repro.sim.trace.TraceRecord`
-        entries through :attr:`tracer`; tracing is off by default because the
-        experiments generate millions of events.
     """
 
     #: Event priorities.  Lower values fire first at equal times.  PHY events
@@ -40,8 +38,7 @@ class Simulator:
     #: frame that finishes reception at time *t* is processed before a timer
     #: that expires at the same instant.
     __slots__ = ("_now", "_scheduler", "_running", "_stopped", "random",
-                 "tracer", "_events_processed", "metrics", "capture",
-                 "profiler", "journey")
+                 "_events_processed", "probe", "profiler")
 
     PRIORITY_PHY = 0
     PRIORITY_MAC = 10
@@ -49,30 +46,37 @@ class Simulator:
     PRIORITY_APP = 30
     PRIORITY_DEFAULT = 50
 
-    def __init__(self, seed: int = 1, trace_enabled: bool = False) -> None:
+    def __init__(self, seed: int = 1) -> None:
         self._now = 0.0
         self._scheduler = Scheduler()
         self._running = False
         self._stopped = False
         self.random = RandomStreams(seed)
-        self.tracer = Tracer(self, enabled=trace_enabled)
         self._events_processed = 0
-        #: Metrics registry; the shared disabled one unless an observability
-        #: session (``repro.obs.session.observe``) swaps in a live registry.
-        #: Instrument sites guard on ``metrics.enabled``.
-        self.metrics = NULL_METRICS
-        #: Optional :class:`~repro.obs.capture.FrameCapture`; PHY hot paths
-        #: guard on ``sim.capture is not None``.
-        self.capture = None
+        #: Where every protocol event is emitted, behind ``probe.enabled``;
+        #: an observability session (``repro.obs.session.observe``)
+        #: subscribes the tracer, metrics, journeys and frame capture.
+        self.probe = Probe(self)
         #: Optional :class:`~repro.obs.profiler.HotPathProfiler`; when set,
-        #: :meth:`run` switches to the profiled loop.
+        #: :meth:`run` times every callback.
         self.profiler = None
-        #: Per-packet journey recorder; the shared disabled one unless an
-        #: observability session swaps in a live recorder.  Instrument sites
-        #: guard on ``journey.enabled``.
-        self.journey = NULL_JOURNEY
         # Adopt this simulator into the active observability session, if any.
         on_simulator_created(self)
+
+    @property
+    def tracer(self) -> Optional[Tracer]:
+        """The subscribed :class:`~repro.obs.tracer.Tracer`, if any."""
+        return self.probe.subscriber(Tracer)
+
+    @property
+    def metrics(self) -> Optional[MetricsRegistry]:
+        """The subscribed :class:`~repro.obs.metrics.MetricsRegistry`, if any."""
+        return self.probe.subscriber(MetricsRegistry)
+
+    @property
+    def journey(self) -> Optional[JourneyRecorder]:
+        """The subscribed :class:`~repro.obs.journey.JourneyRecorder`, if any."""
+        return self.probe.subscriber(JourneyRecorder)
 
     # ------------------------------------------------------------------
     # Clock
@@ -132,18 +136,22 @@ class Simulator:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or ``stop()``.
 
-        Returns the simulated time at which the run loop exited.
+        Returns the simulated time at which the run loop exited.  With a
+        :attr:`profiler` attached, each callback's wall-clock is charged to
+        its category and the rest of the loop (heap pops, dispatch) to the
+        profiler's ``scheduler`` category.
         """
         if self._running:
             raise SimulationError("simulator is already running")
-        if self.profiler is not None:
-            return self._run_profiled(until, max_events)
         self._running = True
         self._stopped = False
         processed_this_run = 0
         started_at = self._now
         scheduler = self._scheduler
         pop_next = scheduler.pop_next
+        profiler = self.profiler
+        callback_seconds = 0.0
+        loop_started = perf_counter()
         try:
             while not self._stopped:
                 event = pop_next(until)
@@ -154,7 +162,15 @@ class Simulator:
                     break
                 self._now = event.time
                 event.fired = True
-                event.callback(*event.args)
+                if profiler is None:
+                    event.callback(*event.args)
+                else:
+                    callback = event.callback
+                    before = perf_counter()
+                    callback(*event.args)
+                    elapsed = perf_counter() - before
+                    callback_seconds += elapsed
+                    profiler.record(profiler.category_for(callback), elapsed)
                 self._events_processed += 1
                 processed_this_run += 1
                 if max_events is not None and processed_this_run >= max_events:
@@ -163,51 +179,9 @@ class Simulator:
                 # Queue drained before the horizon: advance the clock to it.
                 self._now = max(self._now, until)
         finally:
-            self._running = False
-            TELEMETRY.record_run(processed_this_run, self._now - started_at)
-        return self._now
-
-    def _run_profiled(self, until: Optional[float],
-                      max_events: Optional[int]) -> float:
-        """:meth:`run` with per-callback :func:`perf_counter` timing.
-
-        A separate loop so the unprofiled path pays nothing; the logic must
-        mirror :meth:`run` exactly.  Callback wall-clock is attributed to the
-        profiler's category for the callback; the remainder of the loop time
-        (heap pops, dispatch) lands in its ``scheduler`` category.
-        """
-        profiler = self.profiler
-        self._running = True
-        self._stopped = False
-        processed_this_run = 0
-        started_at = self._now
-        scheduler = self._scheduler
-        pop_next = scheduler.pop_next
-        callback_seconds = 0.0
-        loop_started = perf_counter()
-        try:
-            while not self._stopped:
-                event = pop_next(until)
-                if event is None:
-                    if until is not None and not scheduler.empty:
-                        self._now = until
-                    break
-                self._now = event.time
-                event.fired = True
-                callback = event.callback
-                before = perf_counter()
-                callback(*event.args)
-                elapsed = perf_counter() - before
-                callback_seconds += elapsed
-                profiler.record(profiler.category_for(callback), elapsed)
-                self._events_processed += 1
-                processed_this_run += 1
-                if max_events is not None and processed_this_run >= max_events:
-                    break
-            if until is not None and not self._stopped and scheduler.empty:
-                self._now = max(self._now, until)
-        finally:
-            profiler.record_loop(perf_counter() - loop_started, callback_seconds)
+            if profiler is not None:
+                profiler.record_loop(perf_counter() - loop_started,
+                                     callback_seconds)
             self._running = False
             TELEMETRY.record_run(processed_this_run, self._now - started_at)
         return self._now

@@ -23,7 +23,6 @@ from typing import Callable, Dict, Optional
 from repro.errors import TcpStateError
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
-from repro.obs.journey import node_of
 from repro.sim.simulator import Simulator
 from repro.sim.timer import Timer
 from repro.transport.tcp.congestion import NewRenoCongestionControl
@@ -59,6 +58,7 @@ class TcpConnection:
                  reprobe_interval: float = 5.0,
                  name: Optional[str] = None) -> None:
         self.sim = sim
+        self._probe = sim.probe
         self.network = network
         self.local_ip = IpAddress(local_ip)
         self.local_port = local_port
@@ -198,13 +198,10 @@ class TcpConnection:
             self.retransmitted_segments += 1
         else:
             self.bytes_sent_total += payload
-        journey = self.sim.journey
-        if journey.enabled:
-            journey.begin(self.sim.now,
-                          node_of(getattr(self.network, "name",
-                                          str(self.local_ip)), "net"),
-                          "tcp", packet, event="send", seq=seq,
-                          retransmission=retransmission)
+        if self._probe.enabled:
+            self._probe.emit("tcp", "send",
+                             getattr(self.network, "name", str(self.local_ip)),
+                             packet, seq=seq, retransmission=retransmission)
         self.network.send(packet)
 
     def _send_pure_ack(self) -> None:

@@ -14,7 +14,6 @@ from repro.errors import TransportError
 from repro.mac.addresses import MacAddress
 from repro.net.address import IpAddress
 from repro.net.packet import Packet
-from repro.obs.journey import node_of
 from repro.sim.simulator import Simulator
 
 #: Callback signature for received datagrams: ``handler(packet, source_ip)``.
@@ -49,10 +48,10 @@ class UdpSocket:
         self.datagrams_sent += 1
         self.bytes_sent += payload_bytes
         layer = self._layer
-        journey = layer.sim.journey
-        if journey.enabled:
-            journey.begin(layer.sim.now, layer.journey_node, "udp", packet,
-                          event="send", port=destination_port)
+        probe = layer._probe
+        if probe.enabled:
+            probe.emit("udp", "send", layer._source, packet,
+                       port=destination_port)
         return layer.network.send(packet)
 
     def deliver(self, packet: Packet) -> None:
@@ -77,8 +76,9 @@ class UdpLayer:
         self._sockets: Dict[int, UdpSocket] = {}
         self.delivered = 0
         self.no_port_drops = 0
-        self.journey_node = node_of(getattr(network, "name", str(address)), "net")
-        sim.metrics.register_collector(self._collect_metrics)
+        self._probe = sim.probe
+        self._source = getattr(network, "name", str(address))
+        sim.probe.register_collector(self._collect_metrics)
         network.register_handler("udp", self._on_packet)
 
     def _collect_metrics(self, registry) -> None:
@@ -103,15 +103,15 @@ class UdpLayer:
         if packet.udp is None:  # pragma: no cover - defensive
             return
         socket = self._sockets.get(packet.udp.dst_port)
-        journey = self.sim.journey
+        probe = self._probe
         if socket is None:
             self.no_port_drops += 1
-            if journey.enabled:
-                journey.record(self.sim.now, self.journey_node, "udp", "drop",
-                               packet, reason="no_port")
+            if probe.enabled:
+                probe.emit("udp", "drop", self._source, packet,
+                           reason="no_port")
             return
         self.delivered += 1
-        if journey.enabled:
-            journey.record(self.sim.now, self.journey_node, "udp", "deliver",
-                           packet, port=packet.udp.dst_port)
+        if probe.enabled:
+            probe.emit("udp", "deliver", self._source, packet,
+                       port=packet.udp.dst_port)
         socket.deliver(packet)

@@ -21,6 +21,7 @@ if _TESTS not in sys.path:
 
 import pytest
 
+from repro.obs.tracer import Tracer
 from repro.sim import Simulator
 
 
@@ -32,5 +33,7 @@ def sim() -> Simulator:
 
 @pytest.fixture
 def traced_sim() -> Simulator:
-    """A simulator with tracing enabled (for tests that inspect trace records)."""
-    return Simulator(seed=42, trace_enabled=True)
+    """A simulator with a tracer subscribed (for tests that inspect trace records)."""
+    sim = Simulator(seed=42)
+    sim.probe.subscribe(Tracer())
+    return sim

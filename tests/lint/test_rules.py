@@ -417,58 +417,59 @@ class TestRPR004:
 # RPR005 — guarded instrumentation
 # ----------------------------------------------------------------------
 class TestRPR005:
-    def test_flags_unguarded_tracer_emit(self):
+    def test_flags_unguarded_probe_emit(self):
         report = lint(
             """
             def on_send(self, frame):
-                self.sim.tracer.emit(self.name, "mac", "send", size=frame.size)
+                self.sim.probe.emit("mac", "data_tx", self.name, frame,
+                                    bytes=frame.size)
             """,
             "mac/extra.py")
         assert "RPR005" in rule_ids(report)
 
-    def test_flags_unguarded_metrics_inc(self):
+    def test_flags_unguarded_cached_probe_emit(self):
         report = lint(
             """
-            def on_drop(self):
-                self._metrics.inc("mac.queue_drops", node=self.name)
+            def on_drop(self, packet):
+                self._probe.emit("mac", "queue_full", self.name, packet)
             """,
             "mac/extra.py")
         assert "RPR005" in rule_ids(report)
 
-    def test_flags_unguarded_journey_record(self):
+    def test_flags_emit_after_its_guard(self):
         report = lint(
             """
-            def on_deliver(self, subframe):
-                self._journey.record(self.sim.now, self.name, "mac",
-                                     "deliver", subframe.packet)
+            def on_deliver(self, packet):
+                probe = self._probe
+                if probe.enabled:
+                    probe.emit("net", "deliver", self.name, packet)
+                probe.emit("net", "forward", self.name, packet)
             """,
-            "mac/extra.py")
-        assert "RPR005" in rule_ids(report)
+            "net/extra.py")
+        findings = [v for v in report.violations if v.rule_id == "RPR005"]
+        assert len(findings) == 1
 
-    def test_flags_unguarded_journey_begin(self):
-        report = lint(
-            """
-            def send(self, packet):
-                journey = self.sim.journey
-                journey.begin(self.sim.now, self.name, "net", packet)
-            """,
-            "mac/extra.py")
-        assert "RPR005" in rule_ids(report)
+    def test_flags_unguarded_emit_in_transport_and_apps(self):
+        for path in ("transport/extra.py", "apps/extra.py"):
+            report = lint(
+                """
+                def send(self, packet):
+                    probe = self.sim.probe
+                    probe.emit("udp", "send", self.name, packet)
+                """,
+                path)
+            assert "RPR005" in rule_ids(report), path
 
     def test_guarded_calls_are_clean(self):
         report = lint(
             """
             def on_send(self, frame):
-                tracer = self.sim.tracer
-                if tracer.enabled:
-                    tracer.emit(self.name, "mac", "send", size=frame.size)
-                metrics = self._metrics
-                if metrics.enabled:
-                    metrics.inc("mac.sent", node=self.name)
-                journey = self._journey
-                if journey.enabled:
-                    journey.record(self.sim.now, self.name, "mac", "tx",
-                                   frame.packet)
+                probe = self._probe
+                if probe.enabled:
+                    probe.emit("mac", "data_tx", self.name, frame,
+                               bytes=frame.size)
+                if self._probe.enabled and frame.size:
+                    self._probe.emit("mac", "rts", self.name)
             """,
             "mac/extra.py")
         assert report.ok
@@ -481,7 +482,7 @@ class TestRPR005:
         report = lint(
             """
             def on_send(self, frame):
-                self.sim.tracer.emit(self.name, "mac", "send")
+                self.sim.probe.emit("mac", "rts", self.name)
                 self._audit.note(frame)
             """,
             "mac/extra.py", config=config)
@@ -493,9 +494,9 @@ class TestRPR005:
         report = lint(
             """
             def emit_sample(self):
-                if not self.enabled:
+                if not self._probe.enabled:
                     return
-                self._metrics.inc("sample")
+                self._probe.emit("phy", "tx_end", self.name)
             """,
             "phy/extra.py")
         assert report.ok
@@ -503,8 +504,8 @@ class TestRPR005:
     def test_non_hot_path_module_is_clean(self):
         report = lint(
             """
-            def summarize(tracer):
-                tracer.record("done")
+            def summarize(probe):
+                probe.emit("run", "done", "summary")
             """,
             "obs/report.py")
         assert report.ok
@@ -513,7 +514,7 @@ class TestRPR005:
         report = lint(
             """
             def on_fatal(self):
-                self.sim.tracer.emit(self.name, "mac", "fatal")  # lint: disable=RPR005 -- error path, executes at most once per run
+                self._probe.emit("mac", "fatal", self.name)  # lint: disable=RPR005 -- error path, executes at most once per run
             """,
             "mac/extra.py")
         assert report.ok

@@ -4,15 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    NULL_METRICS,
-    Histogram,
-    MetricsRegistry,
-    _NULL_COUNTER,
-    _NULL_GAUGE,
-    _NULL_HISTOGRAM,
-)
+from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 
 
 # ---------------------------------------------------------------------------
@@ -21,9 +13,9 @@ from repro.obs.metrics import (
 
 def test_counter_increments_per_label_set():
     registry = MetricsRegistry()
-    registry.inc("phy.tx_frames", node="n1", kind="data")
-    registry.inc("phy.tx_frames", node="n1", kind="data")
-    registry.inc("phy.tx_frames", node="n2", kind="data", amount=5)
+    registry.counter("phy.tx_frames", node="n1", kind="data").inc()
+    registry.counter("phy.tx_frames", node="n1", kind="data").inc()
+    registry.counter("phy.tx_frames", node="n2", kind="data").inc(5)
     assert registry.counter("phy.tx_frames", node="n1", kind="data").value == 2
     assert registry.counter("phy.tx_frames", node="n2", kind="data").value == 5
 
@@ -62,32 +54,6 @@ def test_histogram_bounds_are_sorted_and_defaulted():
 
 
 # ---------------------------------------------------------------------------
-# Disabled registry: zero storage, shared null instruments
-# ---------------------------------------------------------------------------
-
-def test_disabled_registry_stores_nothing():
-    registry = MetricsRegistry(enabled=False)
-    assert registry.counter("a", node="x") is _NULL_COUNTER
-    assert registry.gauge("b") is _NULL_GAUGE
-    assert registry.histogram("c") is _NULL_HISTOGRAM
-    registry.inc("a", node="x")
-    registry.set_gauge("b", 1.0)
-    registry.observe("c", 2.0)
-    registry.register_collector(lambda r: r.set_gauge("d", 1.0))
-    assert len(registry) == 0
-    snapshot = registry.snapshot()
-    assert snapshot == {"counters": [], "gauges": [], "histograms": []}
-
-
-def test_null_instruments_accept_calls():
-    NULL_METRICS.counter("x").inc()
-    NULL_METRICS.gauge("y").set(1.0)
-    NULL_METRICS.gauge("y").add(1.0)
-    NULL_METRICS.histogram("z").observe(3.0)
-    assert len(NULL_METRICS) == 0
-
-
-# ---------------------------------------------------------------------------
 # Snapshots
 # ---------------------------------------------------------------------------
 
@@ -97,9 +63,9 @@ def _populate(registry: MetricsRegistry, order: str) -> None:
         names = names[::-1]
     for name in names:
         for node in ("n2", "n1"):
-            registry.inc(name, node=node)
+            registry.counter(name, node=node).inc()
     registry.set_gauge("g", 7.0)
-    registry.observe("h", 3.0, bounds=(1.0, 5.0))
+    registry.histogram("h", bounds=(1.0, 5.0)).observe(3.0)
 
 
 def test_snapshot_is_deterministically_ordered():

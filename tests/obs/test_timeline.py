@@ -9,7 +9,7 @@ from repro.obs.timeline import (
     chrome_trace_events,
     export_chrome_trace,
 )
-from repro.sim.trace import TraceRecord
+from repro.obs.tracer import TraceRecord
 
 
 def _record(time, source, category, event, **fields):

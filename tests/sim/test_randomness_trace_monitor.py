@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.tracer import Tracer
 from repro.sim.monitor import TimeSeriesMonitor
 from repro.sim.randomness import RandomStreams
 
@@ -50,52 +51,69 @@ def test_fork_derives_independent_root():
 # ---------------------------------------------------------------------------
 
 def test_tracer_disabled_records_nothing(sim):
-    sim.tracer.emit("node1", "mac", "tx", bytes=100)
-    assert sim.tracer.records == []
+    assert not sim.probe.enabled
+    sim.probe.emit("mac", "data_tx", "node1", subframes=1, bytes=100)
+    assert sim.tracer is None
 
 
 def test_tracer_records_and_filters(traced_sim):
-    traced_sim.tracer.emit("node1", "mac", "tx", bytes=100)
-    traced_sim.tracer.emit("node2", "mac", "rx", bytes=100)
-    traced_sim.tracer.emit("node1", "phy", "tx_start")
+    traced_sim.probe.emit("mac", "data_tx", "node1", subframes=1, bytes=100)
+    traced_sim.probe.emit("mac", "rts", "node2", dst="02:00:00:00:00:01")
+    traced_sim.probe.emit("phy", "tx_start", "node1", kind="data")
+    # Journey-only events are not traced.
+    traced_sim.probe.emit("net", "forward", "node1", ttl=3)
     assert len(traced_sim.tracer.records) == 3
     assert len(traced_sim.tracer.filter(category="mac")) == 2
     assert len(traced_sim.tracer.filter(source="node1")) == 2
-    assert len(traced_sim.tracer.filter(category="mac", event="rx")) == 1
+    assert len(traced_sim.tracer.filter(category="mac", event="rts")) == 1
     text = str(traced_sim.tracer.records[0])
-    assert "mac.tx" in text
+    assert "mac.data_tx" in text
+
+
+class _Seen:
+    """A probe subscriber that keeps every event it is handed."""
+
+    kinds = Tracer.kinds
+
+    def __init__(self):
+        self.events = []
+
+    def on_probe(self, now, layer, kind, source, packet, detail, fields):
+        self.events.append(fields["dst"])
 
 
 def test_tracer_listener_invoked(traced_sim):
-    seen = []
-    traced_sim.tracer.add_listener(seen.append)
-    traced_sim.tracer.emit("n", "cat", "ev")
-    assert len(seen) == 1 and seen[0].event == "ev"
+    """Any probe subscriber is invoked alongside the tracer."""
+    seen = _Seen()
+    traced_sim.probe.subscribe(seen)
+    traced_sim.probe.emit("mac", "rts", "n", dst="d0")
+    assert seen.events == ["d0"]
+    assert [record.event for record in traced_sim.tracer.records] == ["rts"]
 
 
 def test_tracer_max_records(sim):
-    sim.tracer.enabled = True
-    sim.tracer.max_records = 2
+    tracer = Tracer(max_records=2)
+    sim.probe.subscribe(tracer)
     for i in range(5):
-        sim.tracer.emit("n", "c", f"e{i}")
-    assert len(sim.tracer.records) == 2
-    assert sim.tracer.dropped == 3
+        sim.probe.emit("mac", "rts", "n", dst=f"d{i}")
+    assert len(tracer.records) == 2
+    assert tracer.dropped == 3
 
 
 def test_tracer_overflow_still_reaches_listeners(sim):
-    """Storage truncates at max_records but the listener stream is complete."""
-    sim.tracer.enabled = True
-    sim.tracer.max_records = 1
-    seen = []
-    sim.tracer.add_listener(seen.append)
+    """Storage truncates at max_records; other subscribers see every event."""
+    tracer = Tracer(max_records=1)
+    seen = _Seen()
+    sim.probe.subscribe(tracer)
+    sim.probe.subscribe(seen)
     for i in range(4):
-        sim.tracer.emit("n", "c", f"e{i}")
-    assert [record.event for record in sim.tracer.records] == ["e0"]
-    assert sim.tracer.dropped == 3
-    assert [record.event for record in seen] == ["e0", "e1", "e2", "e3"]
-    sim.tracer.clear()
-    assert sim.tracer.records == []
-    assert sim.tracer.dropped == 0
+        sim.probe.emit("mac", "rts", "n", dst=f"e{i}")
+    assert [record.fields["dst"] for record in tracer.records] == ["e0"]
+    assert tracer.dropped == 3
+    assert seen.events == ["e0", "e1", "e2", "e3"]
+    tracer.clear()
+    assert tracer.records == []
+    assert tracer.dropped == 0
 
 
 # ---------------------------------------------------------------------------
